@@ -111,9 +111,10 @@ trace-shard-demo:
 # their own exit gates, tier-1 tests, the sanitized serve subset, the
 # bench-regression gate (perf + serve + memory trajectories), a
 # profile-serve smoke run proving the sampler produces a loadable
-# profile, and a trace-shard-demo smoke run proving cross-process
-# stitching works end-to-end.
-verify: lint lint-concurrency lint-exceptions test sanitize-test bench-check profile-serve trace-shard-demo
+# profile, a trace-demo smoke run rendering the single-process engine's
+# serve.topk traces, and a trace-shard-demo smoke run proving
+# cross-process stitching works end-to-end.
+verify: lint lint-concurrency lint-exceptions test sanitize-test bench-check profile-serve trace-demo trace-shard-demo
 
 # Re-snapshot the golden trainer regression file after an INTENTIONAL
 # numeric change (review the diff before committing it).

@@ -174,7 +174,7 @@ class EFunc:
     """One analysed function: module-level, method, or nested ``def``.
 
     Unlike :class:`~repro.analysis.dataflow.FunctionInfo` this table
-    includes nested functions (``run_serve_bench.worker`` style), because
+    includes nested functions (``_drive_closed_loop.worker`` style), because
     contract annotations and raise sites live inside closures too.
     """
 

@@ -10,11 +10,11 @@ not).  Likewise calling ``__enter__`` directly bypasses the guaranteed
 Flagged:
 
 - an expression statement that is a bare span-like call —
-  ``span("x")`` / ``self.spans.span("x")`` / ``tracer.trace("x")`` /
-  ``trace_span("x")`` / ``trace.handoff()`` with the result dropped;
+  ``trace.span("x")`` / ``tracer.trace("x")`` / ``trace_span("x")`` /
+  ``trace.handoff()`` with the result dropped;
 - any direct ``something.__enter__()`` call.
 
-Not flagged: ``with span(...):``, results that are stored, returned,
+Not flagged: ``with trace_span(...):``, results that are stored, returned,
 passed as arguments, or otherwise consumed.  ``# lint: allow(R008)``
 is the escape hatch for intentional cases.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from ..nn import gather_last
 from ..obs.log import get_logger
 from ..obs.memory import MemoryTracker, alloc_span, update_memory_gauges
 from ..obs.metrics import get_registry
-from ..obs.spans import SpanRecorder, diff_totals
-from ..obs.trace import get_tracer, trace_span
+from ..obs.trace import Trace, get_tracer, trace_span
 from ..optim import Adam, clip_grad_norm
 from .config import TMNConfig, alpha_for_metric
 from .loss import pair_loss
@@ -33,6 +32,21 @@ from .similarity import distance_to_similarity, predicted_similarity
 __all__ = ["Trainer", "TrainingHistory"]
 
 _log = get_logger("repro.trainer")
+
+
+def _epoch_spans(trace: Trace) -> Dict[str, Dict[str, float]]:
+    """Run-record span breakdown of one finished ``train.epoch`` trace.
+
+    The trace root is keyed ``epoch`` and each span path under it
+    ``epoch/<path>``, the keys run records and ``repro-tmn report``
+    read.  Empty while the tracer is disabled.
+    """
+    totals = trace.totals()
+    if not totals:
+        return {}
+    spans = {"epoch": {"seconds": trace.duration, "count": 1}}
+    spans.update((f"epoch/{path}", stat) for path, stat in totals.items())
+    return spans
 
 
 @dataclass
@@ -86,9 +100,6 @@ class Trainer:
         # (0, 1) instead of collapsing to zero.
         self.effective_alpha: float = self.alpha
         self.optimizer = Adam(model.parameters(), lr=config.learning_rate)
-        #: Hierarchical wall-time breakdown of :meth:`fit` (fresh per trainer):
-        #: epoch → sampling / batch → forward / loss / backward / optimizer.
-        self.spans = SpanRecorder()
 
     # ------------------------------------------------------------------
     def fit(
@@ -114,6 +125,10 @@ class Trainer:
             Optional callback receiving one dict per epoch — ``{"epoch",
             "loss", "grad_norm", "seconds", "lr", "spans"}`` — the payload
             :class:`repro.obs.run.RunWriter` persists as a JSONL line.
+            ``spans`` is the epoch's wall-time breakdown from its
+            ``train.epoch`` trace (``epoch`` → ``sampling`` / ``batch`` →
+            ``forward`` / ``loss`` / ``backward`` / ``optimizer``); it is
+            ``{}`` while the tracer is disabled.
             With ``track_memory`` the payload also carries ``alloc_bytes``
             (the epoch's net Python-heap allocation delta).
         track_memory:
@@ -144,7 +159,7 @@ class Trainer:
                 f"training trajectories, got {len(points)}"
             )
         if distances is None:
-            with self.spans.span("exact-metric"):
+            with get_tracer().trace("train.exact-metric", n=len(points)):
                 distances = pairwise_distance_matrix(points, self.metric)
         distances = np.asarray(distances)
         if distances.shape != (len(points), len(points)):
@@ -165,17 +180,16 @@ class Trainer:
         stale_epochs = 0
         for _ in range(self.config.epochs):
             start = time.perf_counter()
-            spans_before = self.spans.totals()
             losses: List[float] = []
             norms: List[float] = []
             anchors = rng.permutation(len(points))
-            # One request-scoped trace per epoch: batch child spans (with
-            # forward/loss/backward/optimizer grandchildren) make a slow
-            # epoch inspectable via `repro-tmn trace`, complementing the
-            # aggregate SpanRecorder totals.  The alloc span is a no-op
-            # unless fit(track_memory=True) opened a tracemalloc session.
+            # One trace per epoch: batch child spans (with forward/loss/
+            # backward/optimizer grandchildren) make a slow epoch
+            # inspectable via `repro-tmn trace`, and its totals are the
+            # epoch's span breakdown.  The alloc span is a no-op unless
+            # fit(track_memory=True) opened a tracemalloc session.
             epoch_alloc = alloc_span("train.epoch", registry=metrics)
-            with self.spans.span("epoch"), epoch_alloc, get_tracer().trace(
+            with epoch_alloc, get_tracer().trace(
                 "train.epoch",
                 epoch=len(history.epoch_losses) + 1,
                 metric=self.metric.name,
@@ -183,7 +197,7 @@ class Trainer:
                 for chunk_start in range(0, len(anchors), self.config.batch_anchors):
                     batch_anchors = anchors[chunk_start : chunk_start + self.config.batch_anchors]
                     samples: List[PairSample] = []
-                    with self.spans.span("sampling"), trace_span("sampling"):
+                    with trace_span("sampling"):
                         for a in batch_anchors:
                             samples.extend(sampler.sample(int(a), rng))
                     with trace_span("batch") as batch_span:
@@ -220,7 +234,7 @@ class Trainer:
                     "grad_norm": history.grad_norms[-1],
                     "seconds": history.epoch_seconds[-1],
                     "lr": self.optimizer.lr,
-                    "spans": diff_totals(self.spans.totals(), spans_before),
+                    "spans": _epoch_spans(epoch_trace),
                 }
                 if epoch_alloc.tracked:
                     payload["alloc_bytes"] = epoch_alloc.net_bytes
@@ -253,36 +267,35 @@ class Trainer:
         """One optimisation step; returns ``(loss, pre-clip grad norm)``."""
         from ..data.batching import pair_batch
 
-        with self.spans.span("batch"):
-            with self.spans.span("forward"), trace_span("forward"):
-                trajs_a = [points[s.anchor] for s in samples]
-                trajs_b = [points[s.sample] for s in samples]
-                pa, la, ma, pb, lb, mb = pair_batch(trajs_a, trajs_b)
-                out_a, out_b = self.model.forward_pair(pa, la, ma, pb, lb, mb)
-                emb_a = gather_last(out_a, la)
-                emb_b = gather_last(out_b, lb)
-                pred = predicted_similarity(emb_a, emb_b)
+        with trace_span("forward"):
+            trajs_a = [points[s.anchor] for s in samples]
+            trajs_b = [points[s.sample] for s in samples]
+            pa, la, ma, pb, lb, mb = pair_batch(trajs_a, trajs_b)
+            out_a, out_b = self.model.forward_pair(pa, la, ma, pb, lb, mb)
+            emb_a = gather_last(out_a, la)
+            emb_b = gather_last(out_b, lb)
+            pred = predicted_similarity(emb_a, emb_b)
 
-            with self.spans.span("loss"), trace_span("loss"):
-                anchor_idx = np.array([s.anchor for s in samples])
-                sample_idx = np.array([s.sample for s in samples])
-                weights = np.array([s.weight for s in samples])
-                true = distance_to_similarity(
-                    distances[anchor_idx, sample_idx], self.effective_alpha
-                )
+        with trace_span("loss"):
+            anchor_idx = np.array([s.anchor for s in samples])
+            sample_idx = np.array([s.sample for s in samples])
+            weights = np.array([s.weight for s in samples])
+            true = distance_to_similarity(
+                distances[anchor_idx, sample_idx], self.effective_alpha
+            )
 
-                loss = pair_loss(self.config.loss, pred, true, weights)
-                if self.config.sub_loss:
-                    sub = self._sub_trajectory_loss(pa, la, pb, lb, out_a, out_b, weights)
-                    if sub is not None:
-                        loss = loss + sub
+            loss = pair_loss(self.config.loss, pred, true, weights)
+            if self.config.sub_loss:
+                sub = self._sub_trajectory_loss(pa, la, pb, lb, out_a, out_b, weights)
+                if sub is not None:
+                    loss = loss + sub
 
-            with self.spans.span("backward"), trace_span("backward"):
-                self.optimizer.zero_grad()
-                loss.backward()
-            with self.spans.span("optimizer"), trace_span("optimizer"):
-                grad_norm = clip_grad_norm(self.model.parameters(), self.config.grad_clip)
-                self.optimizer.step()
+        with trace_span("backward"):
+            self.optimizer.zero_grad()
+            loss.backward()
+        with trace_span("optimizer"):
+            grad_norm = clip_grad_norm(self.model.parameters(), self.config.grad_clip)
+            self.optimizer.step()
         return float(loss.item()), float(grad_norm)
 
     def _sub_trajectory_loss(self, pa, la, pb, lb, out_a, out_b, weights):
@@ -304,7 +317,7 @@ class Trainer:
             if idx.size == 0:
                 continue
             cut_len = np.full(idx.size, cut)
-            with self.spans.span("exact-metric"):
+            with trace_span("exact-metric"):
                 prefix_dist = self.metric.batch(pa[idx, :cut], pb[idx, :cut], cut_len, cut_len)
             trues.append(distance_to_similarity(prefix_dist, self.effective_alpha))
             emb_a = out_a[idx, cut - 1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..metrics import MetricSpec, get_metric, pairwise_distance_matrix
 from ..obs.metrics import get_registry
-from ..obs.spans import span
+from ..obs.trace import trace_span
 
 __all__ = ["EfficiencyReport", "time_exact_metric", "time_encoding", "time_vector_similarity"]
 
@@ -35,7 +35,7 @@ def time_exact_metric(trajs: Sequence, metric: Union[str, MetricSpec]) -> float:
     """Seconds to compute all pairwise exact distances of a collection."""
     spec = metric if isinstance(metric, MetricSpec) else get_metric(metric)
     start = time.perf_counter()
-    with span("exact-metric"):
+    with trace_span("exact-metric"):
         pairwise_distance_matrix(trajs, spec)
     seconds = time.perf_counter() - start
     get_registry().histogram(f"eval.exact_metric_s.{spec.name}").observe(seconds)
@@ -48,7 +48,7 @@ def time_encoding(model, trajs: Sequence, batch_size: int = 64) -> float:
     if not trajs:
         raise ValueError("need at least one trajectory to time encoding")
     start = time.perf_counter()
-    with span("encoding"):
+    with trace_span("encoding"):
         model.encode(trajs, batch_size=batch_size)
     per_traj = (time.perf_counter() - start) / len(trajs)
     get_registry().histogram("eval.encode_s_per_traj").observe(per_traj)

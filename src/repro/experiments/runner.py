@@ -24,7 +24,7 @@ from ..eval import (
 from ..metrics import pairwise_distance_matrix
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
-from ..obs.spans import span
+from ..obs.trace import get_tracer
 from .configs import MODEL_NAMES, Scale, build_model
 
 _log = get_logger("repro.experiments")
@@ -114,12 +114,12 @@ def run_model(
         config = config.with_updates(**config_overrides)
         model = type(model)(config)  # every model takes its config first
     trainer = Trainer(model, config, metric=metric)
-    with span("experiment"):
-        with span("train"):
+    with get_tracer().trace("experiment", model=name, metric=metric) as trace:
+        with trace.span("train"):
             history = trainer.fit(corpus.train_points, distances=corpus.train_distances(metric))
-        with span("predict"):
+        with trace.span("predict"):
             pred = pair_distance_matrix(model, corpus.test_points)
-        with span("evaluate"):
+        with trace.span("evaluate"):
             scores = evaluate_rankings(
                 corpus.test_distances(metric), pred, hr_ks=HR_KS, recall=RECALL
             )

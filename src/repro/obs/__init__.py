@@ -6,19 +6,19 @@ when the measurement layer exists first.  This package provides it:
 
 - :mod:`repro.obs.metrics` — process-local registry of counters, gauges
   and histograms with snapshot/reset;
-- :mod:`repro.obs.spans` — hierarchical wall-time spans (context manager
-  + decorator): epoch → batch → forward/backward/optimizer/sampling;
 - :mod:`repro.obs.profile` — opt-in autograd op profiler (per-op call
   counts, forward/backward seconds), near-zero overhead when disabled;
 - :mod:`repro.obs.log` — leveled structured logging, human lines on
   stderr plus an optional JSONL mirror;
 - :mod:`repro.obs.run` — JSONL run records (config, seed, per-epoch
-  loss/grad-norm/timing, final eval) written by ``repro-tmn train
-  --log-json`` and rendered by ``repro-tmn report``;
-- :mod:`repro.obs.trace` — request-scoped traces (per-request span trees
-  with explicit cross-thread handoff and cross-process stitching via
-  ``TraceContext``/``graft_subtree``, bounded recent-trace ring, JSONL
-  trace log, critical-path rendering for ``repro-tmn trace``);
+  loss/grad-norm/timing/span breakdown, final eval) written by
+  ``repro-tmn train --log-json`` and rendered by ``repro-tmn report``;
+- :mod:`repro.obs.trace` — the one span API: request-scoped traces
+  (per-request span trees with per-path ``{seconds, count}`` totals —
+  epoch → sampling / batch → forward/loss/backward/optimizer for the
+  trainer — explicit cross-thread handoff and cross-process stitching
+  via ``TraceContext``/``graft_subtree``, bounded recent-trace ring,
+  JSONL trace log, critical-path rendering for ``repro-tmn trace``);
 - :mod:`repro.obs.expo` — Prometheus-style text exposition over the
   registry (``repro-tmn metrics``), with scrape hooks for pull-time
   refresh and a ``shard`` label dimension over ``serve.shard.N.*``;
@@ -41,7 +41,7 @@ when the measurement layer exists first.  This package provides it:
   ``bytes_per_trajectory`` bench gate.
 
 Overhead policy: always-on instrumentation (registry counters, batch-level
-spans, the free-function op guard) must stay under a few hundred
+trace spans, the free-function op guard) must stay under a few hundred
 nanoseconds per event; anything heavier (per-op timing) is opt-in and
 documented as such.  See DESIGN.md §9.
 """
@@ -76,10 +76,9 @@ from .memory import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
 from .profile import OpProfiler, OpStat, format_op_table
-from .run import RunRecord, RunWriter, format_run, read_run
+from .run import RunRecord, RunWriter, format_run, format_spans, read_run
 from .sampler import StackSampler, format_top_frames, merge_stacks, top_frames
 from .slo import SLO, SLOStatus, SLOViolation, check_slos, evaluate_slos, format_slos
-from .spans import SpanRecorder, default_recorder, diff_totals, format_spans, span
 from .trace import (
     Handoff,
     Trace,
@@ -118,7 +117,6 @@ __all__ = [
     "SLOViolation",
     "SanitizedLock",
     "SanitizedRLock",
-    "SpanRecorder",
     "StackSampler",
     "Trace",
     "TraceContext",
@@ -132,8 +130,6 @@ __all__ = [
     "compare_bench_files",
     "configure",
     "current_trace",
-    "default_recorder",
-    "diff_totals",
     "evaluate_slos",
     "export_subtree",
     "format_memory",
@@ -159,7 +155,6 @@ __all__ = [
     "render_exposition",
     "rss_bytes",
     "run_scrape_hooks",
-    "span",
     "top_frames",
     "trace_span",
     "tracking_active",

@@ -5,8 +5,7 @@ Renders the numeric state of a :class:`~repro.obs.metrics.MetricsRegistry`
 JSONL run record) in the Prometheus text format version 0.0.4: one
 ``# TYPE`` header per metric family, counters suffixed ``_total``,
 histograms as summaries with ``quantile`` labels plus ``_sum``/``_count``
-series.  Span totals from :class:`~repro.obs.spans.SpanRecorder` are
-exposed as two counter families labelled by span path.
+series.
 
 The renderer is pure (dict in, text out) so output is deterministic for
 a fixed snapshot — the property the exposition snapshot tests pin down.
@@ -172,20 +171,15 @@ def _render_series(
 
 def render_exposition(
     metrics: Union[MetricsRegistry, Dict[str, dict], None] = None,
-    span_totals: Optional[Dict[str, Dict[str, float]]] = None,
     prefix: str = "repro",
 ) -> str:
-    """Render metrics (and optional span totals) as Prometheus text.
+    """Render metrics as Prometheus text.
 
     Parameters
     ----------
     metrics:
         A live registry or an already-serialised ``snapshot()`` dict;
         defaults to the process registry.
-    span_totals:
-        Optional ``SpanRecorder.totals()`` mapping, exposed as
-        ``<prefix>_span_seconds_total{path="..."}`` and
-        ``<prefix>_span_count_total{path="..."}``.
     prefix:
         Metric-name prefix (empty string for none).
     """
@@ -225,20 +219,4 @@ def render_exposition(
                 header=header, labels=(("shard", str(shard)),),
             )
             header = header and not emitted
-
-    if span_totals:
-        sec = metric_name("span.seconds", prefix)
-        cnt = metric_name("span.count", prefix)
-        lines.append(f"# TYPE {sec}_total counter")
-        for path in sorted(span_totals):
-            lines.append(
-                f'{sec}_total{{path="{_escape_label(path)}"}} '
-                f"{_fmt(span_totals[path]['seconds'])}"
-            )
-        lines.append(f"# TYPE {cnt}_total counter")
-        for path in sorted(span_totals):
-            lines.append(
-                f'{cnt}_total{{path="{_escape_label(path)}"}} '
-                f"{_fmt(span_totals[path]['count'])}"
-            )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -26,9 +26,8 @@ from typing import Dict, List, Optional, Union
 
 from .profile import format_op_table
 from .sampler import format_top_frames
-from .spans import format_spans
 
-__all__ = ["RunRecord", "RunWriter", "format_run", "read_run"]
+__all__ = ["RunRecord", "RunWriter", "format_run", "format_spans", "read_run"]
 
 
 class RunWriter:
@@ -156,6 +155,22 @@ def read_run(path: Union[str, Path]) -> RunRecord:
     if record is None:
         raise ValueError(f"{path}: no run_start event found")
     return record
+
+
+def format_spans(totals: Dict[str, Dict[str, float]]) -> str:
+    """Render span totals as an indented tree with seconds and counts."""
+    if not totals:
+        return "(no spans recorded)"
+    lines = []
+    for path in sorted(totals):
+        stat = totals[path]
+        depth = path.count("/")
+        name = path.rsplit("/", 1)[-1]
+        lines.append(
+            f"{'  ' * depth}{name:<{24 - 2 * depth}s} "
+            f"{stat['seconds']:10.4f}s  x{int(stat['count'])}"
+        )
+    return "\n".join(lines)
 
 
 def format_run(record: RunRecord) -> str:

@@ -1,11 +1,11 @@
 """Continuous wall-clock stack sampling: which *frames* burn the time.
 
-The span/trace layers (:mod:`repro.obs.spans`, :mod:`repro.obs.trace`)
-attribute time to sections the author thought to instrument.  The
-sampler needs no such foresight: a background thread snapshots every
-thread's Python stack via ``sys._current_frames()`` at a configurable
-rate and aggregates identical stacks into counts, so the hot frames of
-an *uninstrumented* path — the DP-metric recurrences, an accidental
+The trace layer (:mod:`repro.obs.trace`) attributes time to sections
+the author thought to instrument.  The sampler needs no such foresight:
+a background thread snapshots every thread's Python stack via
+``sys._current_frames()`` at a configurable rate and aggregates
+identical stacks into counts, so the hot frames of an *uninstrumented*
+path — the DP-metric recurrences, an accidental
 quadratic in the batcher — surface with statistical weight proportional
 to the wall time they actually consumed.
 

@@ -1,12 +1,19 @@
 """Request-scoped tracing: the causal story of one query or one epoch.
 
-:mod:`repro.obs.spans` answers "where does the *aggregate* time go";
-this module answers "where did *this request's* time go".  A
-:class:`Trace` carries a process-unique id and an ordered list of span
-events — name, wall-clock start/end, ``key=value`` attributes, recording
-thread — forming a parent/child tree rooted at the trace itself.  The
-serving path opens one trace per ``topk`` request, the trainer one per
-epoch.
+This module is the one span API of the project: it answers "where did
+*this request's* time go" and, through per-path totals, "where does
+the *aggregate* time go".  A :class:`Trace` carries a process-unique id
+and an ordered list of span events — name, wall-clock start/end,
+``key=value`` attributes, recording thread — forming a parent/child
+tree rooted at the trace itself.  The serving path opens one trace per
+``topk`` request, the trainer one per epoch.
+
+Each trace also keeps ``{seconds, count}`` totals per span *path* (the
+slash-joined names from the trace root, e.g. ``batch/forward``),
+updated as each span closes — including spans the bounded event list
+drops — so :meth:`Trace.totals` is an exact phase breakdown however
+long the trace runs.  The trainer's per-epoch ``spans`` payload is
+these totals.
 
 Cross-thread handoff is explicit: when work hops threads (a serve
 request enters the :class:`~repro.serve.batcher.MicroBatcher` queue and
@@ -40,10 +47,10 @@ line.  ``repro-tmn trace`` renders the slowest recent traces as a
 critical-path tree (see :func:`format_trace`).
 
 Thread-safety: the *current trace/span* binding is thread-local; event
-recording appends under a per-trace lock; the ring is guarded by the
-tracer lock.  Recording after a trace has finished (a flush thread
-completing work for a request that already timed out and returned
-degraded) is dropped and counted, never raises.
+recording and the totals update happen under a per-trace lock; the ring
+is guarded by the tracer lock.  Recording after a trace has finished (a
+flush thread completing work for a request that already timed out and
+returned degraded) is dropped and counted, never raises.
 
 Determinism: every timestamp comes from the tracer's injectable clock
 (default ``time.perf_counter``), and trace/span ids are sequential
@@ -80,6 +87,11 @@ __all__ = [
 
 #: Root span id: the trace itself acts as the parent of top-level spans.
 ROOT = 0
+
+
+def _child_path(parent: str, name: str) -> str:
+    """Totals path of span ``name`` under a parent path (``""`` = root)."""
+    return f"{parent}/{name}" if parent else name
 
 
 @dataclass(frozen=True)
@@ -135,7 +147,7 @@ class TraceSpan:
     the finished event is recorded on ``__exit__``.
     """
 
-    __slots__ = ("_trace", "_tracer", "span_id", "parent_id", "name", "attrs", "_start")
+    __slots__ = ("_trace", "_tracer", "span_id", "parent_id", "name", "path", "attrs", "_start")
 
     def __init__(self, trace: "Trace", tracer: "Tracer", name: str, attrs: dict):
         self._trace = trace
@@ -144,6 +156,9 @@ class TraceSpan:
         self.attrs = dict(attrs)
         self.span_id: Optional[int] = None
         self.parent_id: int = ROOT
+        #: Slash-joined names from the trace root (set on ``__enter__``);
+        #: the key this span's time is totalled under.
+        self.path = ""
         self._start: float = 0.0
 
     def set(self, **attrs) -> "TraceSpan":
@@ -154,7 +169,12 @@ class TraceSpan:
     def __enter__(self) -> "TraceSpan":
         self.span_id = self._trace._next_span_id()
         stack = self._tracer._stack()
-        self.parent_id = stack[-1].span_id if stack and stack[-1]._trace is self._trace else ROOT
+        if stack and stack[-1]._trace is self._trace:
+            parent = stack[-1]
+            self.parent_id = parent.span_id
+            self.path = _child_path(parent.path, self.name)
+        else:
+            self.path = self.name
         self._start = self._tracer._clock()
         stack.append(self)
         return self
@@ -166,8 +186,8 @@ class TraceSpan:
         stack = self._tracer._stack()
         if stack and stack[-1] is self:
             stack.pop()
-        self._trace._record(
-            self.span_id, self.parent_id, self.name, self._start, end, self.attrs
+        self._trace._add_event(
+            self.path, self.span_id, self.parent_id, self.name, self._start, end, self.attrs
         )
 
 
@@ -179,11 +199,14 @@ class Handoff:
     the originating request.
     """
 
-    __slots__ = ("trace", "parent_id", "created_at", "_tracer")
+    __slots__ = ("trace", "parent_id", "path", "created_at", "_tracer")
 
     def __init__(self, trace: "Trace", parent_id: int, created_at: float, tracer: "Tracer"):
         self.trace = trace
         self.parent_id = parent_id
+        #: Path of the handoff point, resolved now on the submitting
+        #: thread: the consuming thread's stack does not hold it.
+        self.path = trace._path_of(parent_id)
         self.created_at = created_at
         self._tracer = tracer
 
@@ -193,7 +216,11 @@ class Handoff:
         Used when the consuming thread did shared work (a batched
         forward) whose interval applies to several traces at once.
         """
-        self.trace._record(self.trace._next_span_id(), self.parent_id, name, start, end, attrs)
+        trace = self.trace
+        trace._add_event(
+            _child_path(self.path, name), trace._next_span_id(), self.parent_id,
+            name, start, end, attrs,
+        )
 
     def record_wait(self, name: str = "queue-wait", end: Optional[float] = None, **attrs) -> None:
         """Stamp the span from handoff creation until ``end`` (default: now).
@@ -231,6 +258,7 @@ class _Resumed:
         # Push an anchor entry so nested spans parent to the handoff point.
         anchor = TraceSpan(handoff.trace, handoff._tracer, "<resumed>", {})
         anchor.span_id = handoff.parent_id
+        anchor.path = handoff.path
         self._anchor = anchor
         handoff._tracer._stack().append(anchor)
         return handoff.trace
@@ -247,6 +275,8 @@ class Trace:
     Span events are plain dicts ``{"id", "parent", "name", "start",
     "end", "thread", "attrs"}``; the event list is bounded by
     ``max_events`` (excess increments :attr:`dropped_events`).
+    :meth:`totals` counts every span recorded in this process, dropped
+    ones included; it is not part of :meth:`to_dict`.
     """
 
     def __init__(
@@ -269,6 +299,7 @@ class Trace:
         self._tracer = tracer
         self._lock = threading.Lock()
         self._span_counter = ROOT
+        self._totals: Dict[str, List[float]] = {}  # path -> [seconds, count]
 
     # -- recording ------------------------------------------------------
     def _next_span_id(self) -> int:
@@ -276,8 +307,39 @@ class Trace:
             self._span_counter += 1
             return self._span_counter
 
+    def _top(self) -> Optional[TraceSpan]:
+        """The calling thread's innermost open span of this trace, or None."""
+        stack = self._tracer._stack()
+        return stack[-1] if stack and stack[-1]._trace is self else None
+
+    def _path_of(self, span_id: int) -> str:
+        """Path of ``span_id`` when it is open on the calling thread, else ``""``.
+
+        ``""`` is the trace root's path, so a span whose parent is not
+        open here is totalled at the top level under its bare name.
+        """
+        for entry in reversed(self._tracer._stack()):
+            if entry._trace is self and entry.span_id == span_id:
+                return entry.path
+        return ""
+
     def _record(
         self, span_id: int, parent_id: int, name: str, start: float, end: float, attrs: dict
+    ) -> None:
+        self._add_event(
+            _child_path(self._path_of(parent_id), name),
+            span_id, parent_id, name, start, end, attrs,
+        )
+
+    def _add_event(
+        self,
+        path: str,
+        span_id: int,
+        parent_id: int,
+        name: str,
+        start: float,
+        end: float,
+        attrs: dict,
     ) -> None:
         event = {
             "id": span_id,
@@ -289,8 +351,18 @@ class Trace:
             "attrs": dict(attrs),
         }
         with self._lock:
-            if self.end is not None or len(self.events) >= self.max_events:
-                # Late (trace already finished) or over budget: drop, count.
+            if self.end is not None:
+                # Late (trace already finished): drop, count, leave totals.
+                self.dropped_events += 1
+                return
+            total = self._totals.get(path)
+            if total is None:
+                self._totals[path] = [end - start, 1]
+            else:
+                total[0] += end - start
+                total[1] += 1
+            if len(self.events) >= self.max_events:
+                # Over budget: the event is dropped, its time still counts.
                 self.dropped_events += 1
                 return
             self.events.append(event)
@@ -301,14 +373,14 @@ class Trace:
 
     def handoff(self) -> Handoff:
         """Capture a cross-thread continuation token at the current span."""
-        stack = self._tracer._stack()
-        parent = stack[-1].span_id if stack and stack[-1]._trace is self else ROOT
+        top = self._top()
+        parent = top.span_id if top is not None else ROOT
         return Handoff(self, parent, self._tracer._clock(), self._tracer)
 
     def context(self, clock_offset: float = 0.0) -> TraceContext:
         """Capture a cross-process :class:`TraceContext` at the current span."""
-        stack = self._tracer._stack()
-        parent = stack[-1].span_id if stack and stack[-1]._trace is self else ROOT
+        top = self._top()
+        parent = top.span_id if top is not None else ROOT
         return TraceContext(self.trace_id, parent, clock_offset)
 
     def record_span(
@@ -325,13 +397,13 @@ class Trace:
         this trace (the same parenting rule as :meth:`span`).  Used by
         the scatter-gather coordinator, which only knows a shard span's
         interval after the gather resolved and needs the id back to
-        graft the worker's subtree under it.
+        graft the worker's subtree under it.  The span is totalled under
+        its parent's path when the parent is open on this thread, else
+        under its bare name.
         """
         if parent_id is None:
-            stack = self._tracer._stack()
-            parent_id = (
-                stack[-1].span_id if stack and stack[-1]._trace is self else ROOT
-            )
+            top = self._top()
+            parent_id = top.span_id if top is not None else ROOT
         span_id = self._next_span_id()
         self._record(span_id, parent_id, name, start, end, attrs)
         return span_id
@@ -342,6 +414,19 @@ class Trace:
         return self
 
     # -- reading --------------------------------------------------------
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """``{path: {"seconds": s, "count": n}}`` over the spans closed so far.
+
+        A parent's seconds cover its children plus the glue between
+        them.  Spans grafted from another process are in the events
+        only.
+        """
+        with self._lock:
+            return {
+                path: {"seconds": seconds, "count": count}
+                for path, (seconds, count) in sorted(self._totals.items())
+            }
+
     @property
     def duration(self) -> float:
         """Trace wall time in seconds (0.0 while still open)."""
@@ -484,6 +569,10 @@ class _NullTrace:
     def context(self, clock_offset: float = 0.0) -> None:
         """No cross-process context while disabled (callers ship None)."""
         return None
+
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """No spans are recorded while disabled."""
+        return {}
 
 
 class _NullHandoff:

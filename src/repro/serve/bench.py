@@ -243,49 +243,17 @@ def run_serve_bench(
             sampler.start()
         server.add_batch(db)
 
-        results: List[Optional[ServeResult]] = [None] * n_queries
-        next_query = {"i": 0}
-        hand_out = threading.Lock()
-
-        def worker() -> None:  # contract: never-raises
-            """Pull query indices and serve them until the pool is drained.
-
-            A raise escaping this loop would kill the worker thread and
-            silently drop every query it still owned; E001 verifies none
-            can.
-            """
-            i = -1
-            while True:
-                try:
-                    with hand_out:
-                        i = next_query["i"]
-                        if i >= n_queries:
-                            return
-                        next_query["i"] = i + 1
-                    # Slot i is handed to exactly one worker by the hand_out
-                    # block above, so this write is index-partitioned — no
-                    # two threads ever share a slot.
-                    results[i] = server.topk(queries[i], k=k, deadline_s=deadline_s)  # lint: allow(C001)
-                except Exception as exc:
-                    # The slot stays None (counted as dropped); the worker
-                    # lives on to serve the rest of the pool.
-                    _BENCH_LOG.warning(
-                        "serve-query-failed", error=type(exc).__name__, query=i
-                    )
-
-        threads = [threading.Thread(target=worker) for _ in range(workers)]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        served_seconds = time.perf_counter() - start
+        served_seconds, results = _drive_closed_loop(
+            lambda i: server.topk(queries[i], k=k, deadline_s=deadline_s),
+            n_queries,
+            workers,
+        )
 
         completed = sum(1 for r in results if r is not None)
         dropped = n_queries - completed
         degraded = sum(1 for r in results if r is not None and r.degraded)
         cache_hits = sum(1 for r in results if r is not None and r.cache_hit)
-        latencies = sorted(r.seconds for r in results if r is not None)
+        latency_p50, latency_p99 = _latency_percentiles(results)
 
         # Naive baseline: the same encoder, one forward per request.
         n_naive = naive_queries if naive_queries is not None else min(100, n_queries)
@@ -329,10 +297,8 @@ def run_serve_bench(
             dropped=dropped,
             degraded=degraded,
             cache_hits=cache_hits,
-            latency_p50=latencies[len(latencies) // 2] if latencies else 0.0,
-            latency_p99=latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
-            if latencies
-            else 0.0,
+            latency_p50=latency_p50,
+            latency_p99=latency_p99,
             batch_size_mean=batch_mean,
             slo_statuses=list(slo_statuses),
             bytes_per_trajectory=float(memory["bytes_per_trajectory"]),
@@ -603,6 +569,15 @@ def _drive_closed_loop(
     return time.perf_counter() - start, results
 
 
+def _latency_percentiles(results: Sequence[Optional[ServeResult]]) -> "tuple[float, float]":
+    """(p50, p99) of ``seconds`` over the answered queries; zeros if none."""
+    latencies = sorted(r.seconds for r in results if r is not None)
+    if not latencies:
+        return 0.0, 0.0
+    p99 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
+    return latencies[len(latencies) // 2], p99
+
+
 def run_shard_bench(
     n_db: int = 2000,
     n_queries: int = 400,
@@ -702,7 +677,7 @@ def run_shard_bench(
         completed = sum(1 for r in results if r is not None)
         dropped = n_queries - completed
         degraded = sum(1 for r in results if r is not None and r.degraded)
-        latencies = sorted(r.seconds for r in results if r is not None)
+        latency_p50, latency_p99 = _latency_percentiles(results)
         # Per-shard time attribution from the stitched traces, while the
         # sharded phase's traces are still the newest in the ring.
         shard_attribution = _shard_attribution(
@@ -803,10 +778,8 @@ def run_shard_bench(
             completed=completed,
             dropped=dropped,
             degraded=degraded,
-            latency_p50=latencies[len(latencies) // 2] if latencies else 0.0,
-            latency_p99=latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
-            if latencies
-            else 0.0,
+            latency_p50=latency_p50,
+            latency_p99=latency_p99,
             recall_at_k=recall_at_k,
             agreement=agreement,
             checked=checked,

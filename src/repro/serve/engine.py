@@ -17,17 +17,14 @@ Degradation contract — **callers never see an exception** from
   and its top-k returned, flagged ``degraded=True``.  Coverage shrinks,
   correctness of what is returned does not.
 
-Every stage is observable: ``serve.query.*`` counters, per-stage spans
-(``serve/encode``, ``serve/index``, ``serve/degraded``) on the default
-recorder, plus the cache and batcher instruments they own.
-
-Additionally every :meth:`SimilarityServer.topk` call opens one
-``serve.topk`` request trace (:mod:`repro.obs.trace`): child spans for
-the cache probe, queue wait, batched forward (both stamped across the
-thread hop by the :class:`MicroBatcher` via a handoff token), index
-search and the degraded fallback (with the degradation *reason* as an
-attribute), so ``repro-tmn trace`` can show where any single slow
-request spent its time.
+Every stage is observable: ``serve.query.*`` counters, the cache and
+batcher instruments they own, and one ``serve.topk`` request trace
+(:mod:`repro.obs.trace`) per :meth:`SimilarityServer.topk` call.  Its
+child spans cover the cache probe, queue wait, batched forward (both
+stamped across the thread hop by the :class:`MicroBatcher` via a
+handoff token), index search and the degraded fallback (with the
+degradation *reason* as an attribute), so ``repro-tmn trace`` can show
+where any single slow request spent its time.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from ..metrics import MetricSpec, get_metric, pad_trajectories
 from ..obs.lockstats import new_lock
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
-from ..obs.spans import span
 from ..obs.trace import get_tracer, trace_span
 from .batcher import MicroBatcher
 from .cache import EmbeddingCache, trajectory_key
@@ -180,8 +176,7 @@ class SimilarityServer:
     # ------------------------------------------------------------------
     def _encode_batch(self, trajs: Sequence) -> np.ndarray:
         """One padded forward over ``trajs``; runs on the batcher thread."""
-        with span("serve-encode"):
-            out = np.asarray(self._encode_raw(trajs), dtype=np.float64)
+        out = np.asarray(self._encode_raw(trajs), dtype=np.float64)
         if out.ndim != 2 or out.shape[1] != self.dim:
             raise ValueError(f"encoder returned {out.shape}, expected (B, {self.dim})")
         return out
@@ -289,26 +284,25 @@ class SimilarityServer:
                             points, k, start, cache_hit=False,
                             reason="deadline-before-encode",
                         )
-                with span("serve-wait"):
-                    # Queue-wait/forward spans are stamped onto this
-                    # trace by the batcher's flush thread (handoff).
-                    try:
-                        embedding = self.batcher.submit(points).result(timeout=remaining)
-                    except FutureTimeoutError:
-                        registry.counter("serve.query.deadline_missed").inc()
-                        return self._degraded(
-                            points, k, start, cache_hit=False,
-                            reason="deadline-missed",
-                        )
-                    except Exception as exc:
-                        _LOG.warning(
-                            "batch-failed", error=type(exc).__name__,
-                            trace_id=trace.trace_id, k=k,
-                        )
-                        return self._degraded(
-                            points, k, start, cache_hit=False,
-                            reason=f"batch-failed:{type(exc).__name__}",
-                        )
+                # Queue-wait/forward spans are stamped onto this
+                # trace by the batcher's flush thread (handoff).
+                try:
+                    embedding = self.batcher.submit(points).result(timeout=remaining)
+                except FutureTimeoutError:
+                    registry.counter("serve.query.deadline_missed").inc()
+                    return self._degraded(
+                        points, k, start, cache_hit=False,
+                        reason="deadline-missed",
+                    )
+                except Exception as exc:
+                    _LOG.warning(
+                        "batch-failed", error=type(exc).__name__,
+                        trace_id=trace.trace_id, k=k,
+                    )
+                    return self._degraded(
+                        points, k, start, cache_hit=False,
+                        reason=f"batch-failed:{type(exc).__name__}",
+                    )
                 self.cache.put(key, embedding)
             return self._answer(embedding, k, start, cache_hit)
 
@@ -355,7 +349,7 @@ class SimilarityServer:
                 k=k,
             )
         k_eff = min(k, n)
-        with span("serve-index"), trace_span("index") as index_span:
+        with trace_span("index") as index_span:
             if n <= self.brute_threshold or k_eff > n // 2:
                 diffs = np.asarray(self.index.vectors[:n]) - embedding[None, :]
                 sq = (diffs**2).sum(axis=1)
@@ -415,7 +409,7 @@ class SimilarityServer:
                 seconds=time.perf_counter() - start,
                 k=k,
             )
-        with span("serve-degraded"), trace_span("degraded") as deg_span:
+        with trace_span("degraded") as deg_span:
             deg_span.set(reason=reason, scanned=len(subset))
             order, dists = exact_metric_topk(points, subset, self.fallback_metric, k)
         return ServeResult(

@@ -672,7 +672,7 @@ class TestNeverRaisesContract:
         model = _real_model()
         contracted = {fn.key for fn in model.contracts}
         topk = "src/repro/serve/engine.py::SimilarityServer.topk"
-        worker = "src/repro/serve/bench.py::run_serve_bench.worker"
+        worker = "src/repro/serve/bench.py::_drive_closed_loop.worker"
         assert topk in contracted
         assert worker in contracted
         assert model.escapes[topk] == set()

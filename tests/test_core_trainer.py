@@ -1,5 +1,7 @@
 """Tests for the Trainer: loss descent, determinism, validation, ablations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,17 +45,30 @@ class TestFit:
 
     def test_spans_and_epoch_callback(self, tiny_train):
         trajs, distances = tiny_train
-        cfg = small_config(epochs=2)
+        # sub_stride=4 < the shortest trajectory, so every batch runs the
+        # sub-loss prefix DP and the key set is the same each epoch.
+        cfg = small_config(epochs=2, sub_loss=True, sub_stride=4)
         trainer = Trainer(TMN(cfg), cfg, metric="hausdorff")
         seen = []
         trainer.fit(trajs, distances=distances, on_epoch=seen.append)
         assert [r["epoch"] for r in seen] == [1, 2]
+        batches = math.ceil(len(trajs) / cfg.batch_anchors)
         for record in seen:
             assert record["grad_norm"] >= 0
-            assert "epoch/batch/forward" in record["spans"]
-        totals = trainer.spans.totals()
-        assert totals["epoch"]["count"] == 2
-        assert totals["epoch"]["seconds"] >= totals["epoch/batch"]["seconds"]
+            spans = record["spans"]
+            assert set(spans) == {
+                "epoch",
+                "epoch/sampling",
+                "epoch/batch",
+                "epoch/batch/forward",
+                "epoch/batch/loss",
+                "epoch/batch/loss/exact-metric",
+                "epoch/batch/backward",
+                "epoch/batch/optimizer",
+            }
+            assert spans["epoch"]["count"] == 1
+            assert spans["epoch/batch"]["count"] == batches
+            assert spans["epoch"]["seconds"] >= spans["epoch/batch"]["seconds"]
 
     def test_final_loss_without_epochs_raises(self):
         from repro.core import TrainingHistory

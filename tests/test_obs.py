@@ -1,5 +1,5 @@
-"""Tests for repro.obs: metrics registry, spans, op profiler, run records
-and the observability-facing CLI surface (train --log-json / report)."""
+"""Tests for repro.obs: metrics registry, op profiler, run records and
+the observability-facing CLI surface (train --log-json / report)."""
 
 import json
 
@@ -14,11 +14,8 @@ from repro.obs import (
     MetricsRegistry,
     OpProfiler,
     RunWriter,
-    SpanRecorder,
-    diff_totals,
     format_op_table,
     format_run,
-    format_spans,
     read_run,
 )
 
@@ -80,70 +77,6 @@ class TestMetricsRegistry:
         assert c.value == 0.0  # same object, cleared in place
         c.inc()
         assert reg.snapshot()["a"]["value"] == 1.0
-
-
-# ----------------------------------------------------------------------
-# Spans
-# ----------------------------------------------------------------------
-class TestSpans:
-    def test_nesting_paths_and_parent_covers_children(self):
-        rec = SpanRecorder()
-        for _ in range(3):
-            with rec.span("epoch"):
-                with rec.span("batch"):
-                    with rec.span("forward"):
-                        pass
-                    with rec.span("backward"):
-                        pass
-        totals = rec.totals()
-        assert set(totals) == {
-            "epoch",
-            "epoch/batch",
-            "epoch/batch/forward",
-            "epoch/batch/backward",
-        }
-        assert totals["epoch"]["count"] == 3
-        child_sum = (
-            totals["epoch/batch/forward"]["seconds"]
-            + totals["epoch/batch/backward"]["seconds"]
-        )
-        assert totals["epoch/batch"]["seconds"] >= child_sum
-        assert totals["epoch"]["seconds"] >= totals["epoch/batch"]["seconds"]
-
-    def test_diff_totals_gives_interval_breakdown(self):
-        rec = SpanRecorder()
-        with rec.span("a"):
-            pass
-        before = rec.totals()
-        with rec.span("a"):
-            pass
-        with rec.span("b"):
-            pass
-        delta = diff_totals(rec.totals(), before)
-        assert delta["a"]["count"] == 1
-        assert delta["b"]["count"] == 1
-
-    def test_timed_decorator_and_reset(self):
-        rec = SpanRecorder()
-
-        @rec.timed("work")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert rec.totals()["work"]["count"] == 1
-        rec.reset()
-        assert rec.totals() == {}
-
-    def test_slash_in_name_rejected_and_format(self):
-        rec = SpanRecorder()
-        with pytest.raises(ValueError):
-            rec.span("a/b")
-        with rec.span("outer"):
-            with rec.span("inner"):
-                pass
-        text = format_spans(rec.totals())
-        assert "outer" in text and "inner" in text
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.obs import (
     compare_bench,
     compare_bench_files,
     evaluate_slos,
+    format_spans,
     format_trace,
     get_tracer,
     read_trace_log,
@@ -192,6 +193,88 @@ class TestHandoff:
 
 
 # ----------------------------------------------------------------------
+# Per-path span totals
+# ----------------------------------------------------------------------
+class TestTraceTotals:
+    def test_nested_paths_sum_per_path(self):
+        clk = FakeClock()
+        tracer = Tracer(clock=clk)
+        with tracer.trace("train.epoch") as tr:
+            for _ in range(2):
+                with tr.span("batch"):
+                    with tr.span("forward"):
+                        clk.advance(0.25)
+                    with tr.span("backward"):
+                        clk.advance(0.5)
+        assert tr.totals() == {
+            "batch": {"seconds": 1.5, "count": 2},
+            "batch/backward": {"seconds": 1.0, "count": 2},
+            "batch/forward": {"seconds": 0.5, "count": 2},
+        }
+        text = format_spans(tr.totals())
+        assert "batch" in text and "  forward" in text and "x2" in text
+
+    def test_parent_seconds_cover_children(self):
+        clk = FakeClock()
+        tracer = Tracer(clock=clk)
+        with tracer.trace("work") as tr:
+            with tr.span("batch"):
+                with tr.span("forward"):
+                    clk.advance(0.25)
+                clk.advance(0.5)  # glue between the children
+                with tr.span("loss"):
+                    clk.advance(0.125)
+        totals = tr.totals()
+        children = totals["batch/forward"]["seconds"] + totals["batch/loss"]["seconds"]
+        assert totals["batch"]["seconds"] >= children
+        assert totals["batch"]["seconds"] == pytest.approx(0.875)
+
+    def test_spans_past_max_events_still_count(self):
+        tracer = Tracer(clock=FakeClock())
+        trace = Trace("t?", "work", tracer, start=0.0, max_events=3)
+        for _ in range(10):
+            with trace.span("step"):
+                pass
+        assert len(trace.events) == 3
+        assert trace.dropped_events == 7
+        assert trace.totals()["step"]["count"] == 10
+
+    def test_handoff_records_land_under_the_handoff_point(self):
+        tracer = Tracer()  # real clock: the consumer runs on its own thread
+        with tracer.trace("serve.topk") as tr:
+            with tr.span("encode"):
+                handoff = tr.handoff()
+
+                def consumer():
+                    handoff.record("forward", 0.0, 0.5)
+                    with handoff.resume():
+                        with tracer.span("pad"):
+                            pass
+
+                worker = threading.Thread(target=consumer)
+                worker.start()
+                worker.join(5.0)
+                assert not worker.is_alive()
+        totals = tr.totals()
+        assert set(totals) == {
+            "encode",
+            "encode/forward",
+            "encode/queue-wait",
+            "encode/pad",
+        }
+        assert totals["encode/forward"] == {"seconds": 0.5, "count": 1}
+
+    def test_disabled_tracer_yields_empty_totals(self):
+        tracer = Tracer(clock=FakeClock())
+        tracer.set_enabled(False)
+        with tracer.trace("work") as tr:
+            with tr.span("step"):
+                pass
+            tr.handoff().record("forward", 0.0, 1.0)
+        assert tr.totals() == {}
+
+
+# ----------------------------------------------------------------------
 # Ring, reset, JSONL log
 # ----------------------------------------------------------------------
 class TestTracerRing:
@@ -279,9 +362,8 @@ class TestDeterministicRendering:
                 "p99": 0.21,
             },
         }
-        spans = {"epoch/batch": {"seconds": 1.5, "count": 3}}
-        text = render_exposition(snapshot, span_totals=spans)
-        assert text == render_exposition(snapshot, span_totals=spans)
+        text = render_exposition(snapshot)
+        assert text == render_exposition(snapshot)
         assert "# TYPE repro_serve_cache_hits_total counter" in text
         assert "repro_serve_cache_hits_total 3" in text
         assert "repro_serve_queue_depth 2" in text
@@ -289,8 +371,6 @@ class TestDeterministicRendering:
         assert 'repro_serve_query_seconds{quantile="0.5"} 0.125' in text
         assert "repro_serve_query_seconds_sum 0.5" in text
         assert "repro_serve_query_seconds_count 4" in text
-        assert 'repro_span_seconds_total{path="epoch/batch"} 1.5' in text
-        assert 'repro_span_count_total{path="epoch/batch"} 3' in text
         assert text.endswith("\n")
 
     def test_exposition_accepts_live_registry(self):
