@@ -2,8 +2,8 @@
 
 .PHONY: install test lint lint-json lint-concurrency lint-exceptions \
 	sanitize-test bench bench-fast bench-json bench-serve bench-shard \
-	bench-memory bench-check trace-demo trace-shard-demo verify regen-golden profile \
-	profile-serve examples clean
+	bench-memory bench-check trace-demo trace-shard-demo perfbench-smoke verify \
+	regen-golden profile profile-serve examples clean
 
 install:
 	pip install -e .
@@ -106,15 +106,23 @@ trace-demo:
 trace-shard-demo:
 	PYTHONPATH=src python -m repro.cli trace --demo-shards 4 --top 3
 
+# Smoke test of the perfbench harness at its smallest sizes: every
+# workload, untraced and traced, must exit 0 with every metric of
+# BENCHMARK.json reported and its checks passing.  The traced runs wrap
+# layer entry points by name (TMN.forward_pair, cross_match,
+# LSTM.forward, ...), so this catches a refactor that moves them.
+perfbench-smoke:
+	python3 perfbench/smoke.py
+
 # The default verification path: lint (all families, including the
 # R010 trace-propagation rule), the concurrency and exception scopes on
 # their own exit gates, tier-1 tests, the sanitized serve subset, the
 # bench-regression gate (perf + serve + memory trajectories), a
 # profile-serve smoke run proving the sampler produces a loadable
 # profile, a trace-demo smoke run rendering the single-process engine's
-# serve.topk traces, and a trace-shard-demo smoke run proving
-# cross-process stitching works end-to-end.
-verify: lint lint-concurrency lint-exceptions test sanitize-test bench-check profile-serve trace-demo trace-shard-demo
+# serve.topk traces, a trace-shard-demo smoke run proving cross-process
+# stitching works end-to-end, and the perfbench harness smoke test.
+verify: lint lint-concurrency lint-exceptions test sanitize-test bench-check profile-serve trace-demo trace-shard-demo perfbench-smoke
 
 # Re-snapshot the golden trainer regression file after an INTENTIONAL
 # numeric change (review the diff before committing it).

@@ -2,7 +2,7 @@
 
 A hand-derived backward pass that is never compared against finite
 differences is a gradient bug waiting to happen (the reproduction's fused
-LSTM step exists precisely because composed and fused paths must agree).
+LSTM sequence kernel must agree with the composed per-step cell).
 This rule statically cross-references the op catalogue against the test
 suite: an op counts as covered when some test module both references the
 op by name *and* calls ``check_gradients``/``numeric_gradient``.

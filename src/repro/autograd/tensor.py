@@ -120,6 +120,14 @@ def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
     return arr
 
 
+def _released_backward(grad: np.ndarray) -> None:
+    """Stand-in closure of a node whose graph a backward pass has freed."""
+    raise RuntimeError(
+        "trying to backward through the graph a second time: backward() "
+        "frees the graph it runs through, so rebuild it with a new forward pass"
+    )
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff support.
 
@@ -140,6 +148,7 @@ class Tensor:
         "_parents",
         "_grad_sink",
         "name",
+        "__weakref__",
     )
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
@@ -228,6 +237,10 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        Every interior node it passes through is released afterwards (its
+        closure and parent links are dropped), so a second backward through
+        the same graph raises ``RuntimeError``.
+
         Parameters
         ----------
         grad:
@@ -264,17 +277,24 @@ class Tensor:
         grads: dict[int, np.ndarray] = {id(self): grad}
         for node in reversed(order):
             node_grad = grads.pop(id(node), None)
+            backward = node._backward
+            if backward is None:
+                # Leaf tensor: accumulate into .grad
+                if node_grad is not None and node.requires_grad:
+                    node._accumulate(node_grad)
+                continue
+            # Free the graph as it is consumed, like PyTorch without
+            # retain_graph: every closure refers to its own output, so a
+            # kept tape is a reference cycle only the cyclic GC reclaims.
+            node._backward = _released_backward
+            node._parents = ()
             if node_grad is None:
                 continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate into .grad
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                # _backward closures stash partial gradients via the shared
-                # dict through _receive below.
-                node._grad_sink = grads  # type: ignore[attr-defined]
-                node._backward(node_grad)
-                del node._grad_sink  # type: ignore[attr-defined]
+            # _backward closures stash partial gradients via the shared
+            # dict through _send below.
+            node._grad_sink = grads  # type: ignore[attr-defined]
+            backward(node_grad)
+            del node._grad_sink  # type: ignore[attr-defined]
 
     # The backward closures cannot see the `grads` dict directly, so each op
     # routes parent gradients through this helper.

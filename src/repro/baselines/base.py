@@ -53,7 +53,13 @@ class SiameseTrajectoryModel(TrajectoryPairModel):
         return outputs
 
     def forward_pair(self, points_a, lengths_a, mask_a, points_b, lengths_b, mask_b):
-        """Encode both sides independently (siamese behaviour)."""
+        """Encode both sides independently (siamese behaviour).
+
+        A self-pair — side b given as the very same ``points``/``mask``
+        arrays as side a, as :meth:`encode` does — is encoded once.
+        """
         out_a = self.encode_side(points_a, lengths_a, mask_a)
+        if points_b is points_a and mask_b is mask_a:
+            return out_a, out_a
         out_b = self.encode_side(points_b, lengths_b, mask_b)
         return out_a, out_b

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd import Tensor, concat, no_grad
-from ..data.batching import pair_batch
+from ..data.batching import pad_batch, pair_batch
 from ..nn import GRU, LSTM, MLP, LeakyReLU, Linear, Module, cross_match, gather_last
 from .config import TMNConfig
 
@@ -90,18 +90,22 @@ class TrajectoryPairModel(Module):
         """Embed trajectories into R^d for the similarity-search database.
 
         Runs under ``no_grad``; batches are padded independently to keep
-        memory bounded.  For pair-interacting models (TMN with matching
-        enabled) each trajectory is matched against itself; this is the
-        fast approximate path — faithful evaluation uses
+        memory bounded.  Each chunk is padded once and passed as *both*
+        sides of :meth:`forward_pair` (the same array objects), which TMN
+        and the siamese baselines recognise as a self-pair and compute
+        once.  The result equals ``embed_pair(batch, batch)[0]``; for
+        pair-interacting models (TMN with matching enabled) that means each
+        trajectory is matched against itself.  This is the fast
+        approximate path — faithful evaluation uses
         :func:`pair_distance_matrix` instead.
         """
         chunks: List[np.ndarray] = []
         trajs = list(trajs)
         with no_grad():
             for start in range(0, len(trajs), batch_size):
-                batch = trajs[start : start + batch_size]
-                emb_a, _ = self.embed_pair(batch, batch)
-                chunks.append(emb_a.data)
+                points, lengths, mask = pad_batch(trajs[start : start + batch_size])
+                out, _ = self.forward_pair(points, lengths, mask, points, lengths, mask)
+                chunks.append(gather_last(out, lengths).data)
         return np.concatenate(chunks, axis=0)
 
 
@@ -205,21 +209,33 @@ class TMN(TrajectoryPairModel):
         return self.act(self.point_embed(Tensor(points)))
 
     def forward_pair(self, points_a, lengths_a, mask_a, points_b, lengths_b, mask_b):
-        """Per-step representations (O_a, O_b) for a padded pair batch."""
+        """Per-step representations (O_a, O_b) for a padded pair batch.
+
+        A self-pair — side b given as the very same ``points``/``mask``
+        arrays as side a, as :meth:`encode` does — runs the pipeline once
+        and returns its output for both sides.
+        """
+        self_pair = points_b is points_a and mask_b is mask_a
         x_a = self.embed_points(points_a)
-        x_b = self.embed_points(points_b)
+        x_b = x_a if self_pair else self.embed_points(points_b)
         if self.config.matching:
             m_ab, p_ab = cross_match(x_a, x_b, mask_a=mask_a, mask_b=mask_b)
-            m_ba, p_ba = cross_match(x_b, x_a, mask_a=mask_b, mask_b=mask_a)
-            self._last_patterns = (p_ab.data, p_ba.data)
             in_a = concat([x_a, m_ab], axis=-1)
-            in_b = concat([x_b, m_ba], axis=-1)
+            if self_pair:
+                p_ba = p_ab
+            else:
+                m_ba, p_ba = cross_match(x_b, x_a, mask_a=mask_b, mask_b=mask_a)
+                in_b = concat([x_b, m_ba], axis=-1)
+            self._last_patterns = (p_ab.data, p_ba.data)
         else:
             self._last_patterns = None
             in_a, in_b = x_a, x_b
         z_a, _ = self.lstm(in_a, mask=mask_a)
+        out_a = self.mlp(z_a)
+        if self_pair:
+            return out_a, out_a
         z_b, _ = self.lstm(in_b, mask=mask_b)
-        return self.mlp(z_a), self.mlp(z_b)
+        return out_a, self.mlp(z_b)
 
     @property
     def last_match_patterns(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:

@@ -8,6 +8,12 @@ hidden and cell states are carried forward unchanged, so the output at any
 step ``>= length`` equals the representation of the last real point — which
 is exactly the "final time step output" the paper uses as the trajectory
 embedding.
+
+Both :class:`LSTM` and :class:`LSTMCell` run on the fused sequence kernel
+:func:`repro.nn.fused.fused_lstm_sequence` (a cell step is a one-step
+sequence), which records one tape node per sequence;
+:meth:`LSTMCell.forward_composed` is the primitive-op reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, stack, where
+from ..autograd import Tensor
 from . import init
+from .fused import fused_lstm_sequence
 from .module import Module, Parameter
 
 __all__ = ["LSTM", "LSTMCell", "gather_last"]
@@ -43,17 +50,20 @@ class LSTMCell(Module):
         self.bias = Parameter(bias, name="bias")
 
     def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        """Run one LSTM step on a batch (see class docstring)."""
-        from .fused import fused_lstm_step
-
+        """Run one LSTM step on a batch: the fused sequence kernel over T=1."""
         h_prev, c_prev = state
-        return fused_lstm_step(x, h_prev, c_prev, self.weight_ih, self.weight_hh, self.bias)
+        x_seq = x.reshape(x.shape[0], 1, x.shape[1])
+        _, h, c = fused_lstm_sequence(
+            x_seq, h_prev, c_prev, self.weight_ih, self.weight_hh, self.bias
+        )
+        return h, c
 
     def forward_composed(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
         """Reference implementation from primitive ops.
 
-        Kept for validating the fused step (the test suite asserts both
-        paths produce identical values and gradients).
+        Kept for validating the fused kernel (the test suite asserts a
+        per-step loop of it and the fused sequence produce the same values
+        and gradients).
         """
         h_prev, c_prev = state
         gates = x @ self.weight_ih + h_prev @ self.weight_hh + self.bias
@@ -112,24 +122,17 @@ class LSTM(Module):
         """
         if x.ndim != 3:
             raise ValueError(f"LSTM expects (B, T, D) input, got shape {x.shape}")
-        batch, steps, _ = x.shape
+        batch = x.shape[0]
         if initial_state is None:
-            h = Tensor(np.zeros((batch, self.hidden_size)))
-            c = Tensor(np.zeros((batch, self.hidden_size)))
+            h0 = Tensor(np.zeros((batch, self.hidden_size)))
+            c0 = Tensor(np.zeros((batch, self.hidden_size)))
         else:
-            h, c = initial_state
-        outputs = []
-        for t in range(steps):
-            x_t = x[:, t, :]
-            h_new, c_new = self.cell(x_t, (h, c))
-            if mask is not None:
-                m = mask[:, t : t + 1]
-                h = where(m, h_new, h)
-                c = where(m, c_new, c)
-            else:
-                h, c = h_new, c_new
-            outputs.append(h)
-        return stack(outputs, axis=1), (h, c)
+            h0, c0 = initial_state
+        cell = self.cell
+        outputs, h, c = fused_lstm_sequence(
+            x, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias, mask
+        )
+        return outputs, (h, c)
 
 
 def gather_last(outputs: Tensor, lengths: np.ndarray) -> Tensor:

@@ -7,8 +7,8 @@ While enabled, every autodiff op is timed at its outer boundary:
   class — dunder dispatch and attribute lookup both go through the class,
   so every call site is caught and a disabled profiler costs literally
   nothing;
-- **free-function ops** (``softmax``, ``concat``, ``fused_lstm_step``, ...)
-  are bound by name at their import sites, so they instead carry the
+- **free-function ops** (``softmax``, ``concat``, ``fused_lstm_sequence``,
+  ...) are bound by name at their import sites, so they instead carry the
   definition-site guard :func:`repro.autograd.profiled_op`, whose disabled
   cost is one global read per call.
 

@@ -1,5 +1,8 @@
 """Unit tests for the Tensor autodiff engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.autograd import Tensor, check_gradients, is_grad_enabled, no_grad
+from repro.core import TMN, TMNConfig
+from repro.core.loss import pair_loss
+from repro.core.similarity import predicted_similarity
+from repro.data import pair_batch
+from repro.nn import gather_last
 
 
 class TestConstruction:
@@ -290,6 +298,57 @@ class TestBackwardMechanics:
         with no_grad():
             t = Tensor(1.0, requires_grad=True)
         assert not t.requires_grad
+
+
+class TestGraphRelease:
+    """backward() frees the graph it consumes, as PyTorch does by default."""
+
+    @staticmethod
+    def _tmn_step_graph(rng):
+        """Forward and loss of one TMN training step (as Trainer._train_step)."""
+        model = TMN(TMNConfig(hidden_dim=8, seed=0))
+        trajs = [rng.normal(size=(int(rng.integers(4, 9)), 2)) for _ in range(6)]
+        pa, la, ma, pb, lb, mb = pair_batch(trajs[:3], trajs[3:])
+        out_a, out_b = model.forward_pair(pa, la, ma, pb, lb, mb)
+        pred = predicted_similarity(gather_last(out_a, la), gather_last(out_b, lb))
+        loss = pair_loss("mse", pred, np.full(3, 0.5), np.ones(3))
+        return model, out_a, loss
+
+    def test_training_graph_freed_without_cyclic_gc(self, rng):
+        """Reference counting alone reclaims the step's intermediates."""
+        gc.collect()
+        gc.disable()
+        try:
+            model, out_a, loss = self._tmn_step_graph(rng)
+            intermediate = weakref.ref(out_a)
+            del out_a
+            assert intermediate() is not None  # the loss graph holds it
+            loss.backward()
+            del loss
+            assert intermediate() is None
+            assert all(p.grad is not None for p in model.parameters())
+        finally:
+            gc.enable()
+
+    def test_second_backward_through_freed_graph_raises(self, rng):
+        _, _, loss = self._tmn_step_graph(rng)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="second time"):
+            loss.backward()
+
+    def test_reusing_a_freed_intermediate_raises(self):
+        a = Tensor(2.0, requires_grad=True)
+        y = a * 3.0
+        (y * 2.0).backward()
+        with pytest.raises(RuntimeError, match="second time"):
+            (y * 5.0).backward()
+        assert a.grad == pytest.approx(6.0)
+
+    def test_leaves_keep_accumulating_across_graphs(self):
+        a = Tensor(2.0, requires_grad=True)
+        (a * 3.0).backward()
+        (a * 4.0).backward()
+        assert a.grad == pytest.approx(7.0)
 
 
 @settings(max_examples=25, deadline=None)

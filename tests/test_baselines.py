@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
 from repro.baselines import SRN, NeuTraj, T3S, Traj2SimVec
 from repro.core import TMNConfig, Trainer
-from repro.data import pair_batch
+from repro.data import pad_batch, pair_batch
+from repro.nn import gather_last
 
 
 def small_config(**overrides):
@@ -66,6 +68,55 @@ class TestCommonBehaviour:
         (out_a.sum() + out_b.sum()).backward()
         grads = [p.grad is not None for _, p in model.named_parameters()]
         assert any(grads)
+
+    def test_encode_equals_embed_pair(self, cls, rng):
+        model = self.make(cls, rng)
+        # Eval mode: in training NeuTraj writes its memory on every forward,
+        # so two calls in a row would not see the same memory.
+        model.eval()
+        trajs = [rng.normal(size=(int(rng.integers(3, 9)), 2)) for _ in range(5)]
+        expected, _ = model.embed_pair(trajs, trajs)
+        np.testing.assert_allclose(
+            model.encode(trajs, batch_size=5), expected.data, rtol=1e-13, atol=0
+        )
+
+    def test_encode_runs_one_side_per_chunk(self, cls, rng, monkeypatch):
+        model = self.make(cls, rng)
+        model.eval()
+        calls = []
+        real_encode_side = cls.encode_side
+
+        def spy(self, points, lengths, mask):
+            calls.append(points.shape[0])
+            return real_encode_side(self, points, lengths, mask)
+
+        monkeypatch.setattr(cls, "encode_side", spy)
+        trajs = [rng.normal(size=(int(rng.integers(3, 9)), 2)) for _ in range(7)]
+        model.encode(trajs, batch_size=3)
+        assert calls == [3, 3, 1]
+
+    def test_self_pair_gradients_match_two_sided(self, cls, rng):
+        model = self.make(cls, rng)
+        model.eval()  # NeuTraj's memory must not change between the runs
+        trajs = [rng.normal(size=(int(rng.integers(3, 9)), 2)) for _ in range(4)]
+        points, lengths, mask = pad_batch(trajs)
+        w_a = rng.normal(size=(4, 8))
+        w_b = rng.normal(size=(4, 8))
+
+        def grads(side_b):
+            model.zero_grad()
+            out_a, out_b = model.forward_pair(points, lengths, mask, *side_b)
+            loss = (gather_last(out_a, lengths) * Tensor(w_a)).sum() + (
+                gather_last(out_b, lengths) * Tensor(w_b)
+            ).sum()
+            loss.backward()
+            return {n: p.grad.copy() for n, p in model.named_parameters() if p.grad is not None}
+
+        shortcut = grads((points, lengths, mask))
+        two_sided = grads((points.copy(), lengths.copy(), mask.copy()))
+        assert shortcut and shortcut.keys() == two_sided.keys()
+        for name in shortcut:
+            np.testing.assert_allclose(shortcut[name], two_sided[name], rtol=1e-10, atol=1e-12)
 
 
 class TestSRN:

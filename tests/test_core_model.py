@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
 from repro.core import TMN, TMNConfig, pair_cross_distance_matrix, pair_distance_matrix
-from repro.data import pair_batch
+from repro.core import model as model_module
+from repro.data import pad_batch, pair_batch
+from repro.nn import LSTM, gather_last
 
 
 @pytest.fixture
@@ -117,6 +120,63 @@ class TestEncode:
         np.testing.assert_allclose(
             model.encode(trajs, batch_size=2), model.encode(trajs, batch_size=6), atol=1e-10
         )
+
+
+class TestSelfPairEncode:
+    """encode() pads each chunk once and runs a self-pair as one side."""
+
+    @pytest.mark.parametrize("matching", [True, False])
+    def test_encode_equals_embed_pair(self, cfg, rng, matching):
+        # Not bit-exact: on the self-pair, cross_match multiplies X by its
+        # own transpose on one buffer, which NumPy hands to a symmetric BLAS
+        # kernel whose rounding differs from the two-buffer product (a
+        # 1.7e-16 maximum difference was measured).
+        model = TMN(cfg.with_updates(matching=matching))
+        trajs = [rng.normal(size=(int(rng.integers(3, 9)), 2)) for _ in range(5)]
+        expected, _ = model.embed_pair(trajs, trajs)
+        np.testing.assert_allclose(
+            model.encode(trajs, batch_size=5), expected.data, rtol=1e-13, atol=0
+        )
+
+    def test_one_cross_match_and_lstm_call_per_chunk(self, model, rng, monkeypatch):
+        calls = {"cross_match": 0, "lstm": 0}
+        real_cross_match = model_module.cross_match
+        real_lstm_forward = LSTM.forward
+
+        def spy_cross_match(*args, **kwargs):
+            calls["cross_match"] += 1
+            return real_cross_match(*args, **kwargs)
+
+        def spy_lstm_forward(self, *args, **kwargs):
+            calls["lstm"] += 1
+            return real_lstm_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "cross_match", spy_cross_match)
+        monkeypatch.setattr(LSTM, "forward", spy_lstm_forward)
+        trajs = [rng.normal(size=(int(rng.integers(3, 9)), 2)) for _ in range(7)]
+        model.encode(trajs, batch_size=3)  # three chunks
+        assert calls == {"cross_match": 3, "lstm": 3}
+
+    def test_self_pair_gradients_match_two_sided(self, model, rng):
+        trajs = [rng.normal(size=(int(rng.integers(3, 9)), 2)) for _ in range(4)]
+        points, lengths, mask = pad_batch(trajs)
+        w_a = rng.normal(size=(4, 16))
+        w_b = rng.normal(size=(4, 16))
+
+        def grads(side_b):
+            model.zero_grad()
+            out_a, out_b = model.forward_pair(points, lengths, mask, *side_b)
+            loss = (gather_last(out_a, lengths) * Tensor(w_a)).sum() + (
+                gather_last(out_b, lengths) * Tensor(w_b)
+            ).sum()
+            loss.backward()
+            return {name: p.grad.copy() for name, p in model.named_parameters()}
+
+        shortcut = grads((points, lengths, mask))
+        two_sided = grads((points.copy(), lengths.copy(), mask.copy()))
+        assert shortcut.keys() == two_sided.keys()
+        for name in shortcut:
+            np.testing.assert_allclose(shortcut[name], two_sided[name], rtol=1e-10, atol=1e-12)
 
 
 class TestPairDistanceMatrix:

@@ -9,7 +9,7 @@ import pytest
 from repro.autograd import Tensor, check_gradients, concat, softmax
 from repro.autograd import tensor as tensor_mod
 from repro.cli import main
-from repro.nn.fused import fused_lstm_step
+from repro.nn.fused import fused_lstm_sequence
 from repro.obs import (
     MetricsRegistry,
     OpProfiler,
@@ -137,21 +137,22 @@ class TestOpProfiler:
         np.testing.assert_array_equal(ga_plain, ga_prof)
         np.testing.assert_array_equal(gb_plain, gb_prof)
 
-    def test_profiles_fused_lstm_step(self):
+    def test_profiles_fused_lstm_sequence(self):
         rng = np.random.default_rng(1)
         hidden = 4
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         h = Tensor(np.zeros((2, hidden)))
         c = Tensor(np.zeros((2, hidden)))
         w_ih = Tensor(rng.normal(size=(3, 4 * hidden)), requires_grad=True)
         w_hh = Tensor(rng.normal(size=(hidden, 4 * hidden)), requires_grad=True)
         bias = Tensor(np.zeros(4 * hidden), requires_grad=True)
         with OpProfiler() as prof:
-            h2, c2 = fused_lstm_step(x, h, c, w_ih, w_hh, bias)
-            (h2.sum() + c2.sum()).backward()
+            out, h2, c2 = fused_lstm_sequence(x, h, c, w_ih, w_hh, bias)
+            (out.sum() + h2.sum() + c2.sum()).backward()
         snap = prof.snapshot()
-        assert snap["fused_lstm_step"]["calls"] == 1
-        assert snap["fused_lstm_step"]["backward_calls"] == 2  # h and c closures
+        assert snap["fused_lstm_sequence"]["calls"] == 1
+        # The sequence closure plus the two final-state closures.
+        assert snap["fused_lstm_sequence"]["backward_calls"] == 3
 
 
 # ----------------------------------------------------------------------
