@@ -7,8 +7,9 @@ rule encodes one guard idiom the codebase already uses, so a site is clean
 when it follows the established pattern and flagged when it forgot:
 
 - **N001** ``exp`` on unbounded input: safe after max-subtraction (the
-  softmax idiom), an explicit clip, or when the argument is provably
-  non-positive (e.g. ``-np.abs(x)``, ``-dist`` for a distance).
+  softmax idiom, also in place as ``s -= row_max``), an explicit clip, or
+  when the argument is provably non-positive (e.g. ``-np.abs(x)``,
+  ``-dist`` for a distance).
 - **N002** ``log``/``sqrt`` without an epsilon guard: safe with ``+ eps``,
   ``np.maximum(x, c)`` with positive ``c``, a positive-low clip, or (for
   ``sqrt``) a provably non-negative argument such as a sum of squares.
@@ -117,6 +118,11 @@ class _Env:
 
 def _is_max_call(node: ast.AST) -> bool:
     return _is_method_call(node, "max", "amax") or _is_np_call(node, "max", "amax")
+
+
+def _is_max_like(node: ast.AST, env: _Env) -> bool:
+    """A ``.max(...)`` call or a name bound to one — what may be subtracted."""
+    return _is_max_call(node) or (isinstance(node, ast.Name) and node.id in env.max_like)
 
 
 def _is_sum_call(node: ast.AST, env: _Env) -> bool:
@@ -243,10 +249,7 @@ def _exp_safe(node: ast.AST, env: _Env) -> bool:
     if _nonpositive(node, env):
         return True
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
-        right = node.right
-        if _is_max_call(right):
-            return True
-        if isinstance(right, ast.Name) and right.id in env.max_like:
+        if _is_max_like(node.right, env):
             return True
     if _is_np_call(node, "clip", "minimum"):
         return True
@@ -311,6 +314,15 @@ def _build_env(scope: ast.AST) -> _Env:
                 # total += nonneg keeps a nonneg accumulator nonneg.
                 if node.target.id in env.nonneg and not _nonneg(node.value, env):
                     env.nonneg.discard(node.target.id)
+            if isinstance(node.target, ast.Name):
+                # In-place shift: s -= s.max(...) (or a max-like name) makes
+                # s max-subtracted, as the in-place clamp above makes d2
+                # nonneg.  Normalising (s /= denom) keeps it; any other
+                # update could push s back up and undoes it.
+                if isinstance(node.op, ast.Sub) and _is_max_like(node.value, env):
+                    env.max_subtracted.add(node.target.id)
+                elif not isinstance(node.op, ast.Div):
+                    env.max_subtracted.discard(node.target.id)
             continue
         value = node.value
         names = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -320,13 +332,7 @@ def _build_env(scope: ast.AST) -> _Env:
         facts_maxsub = (
             isinstance(value, ast.BinOp)
             and isinstance(value.op, ast.Sub)
-            and (
-                _is_max_call(value.right)
-                or (
-                    isinstance(value.right, ast.Name)
-                    and value.right.id in env.max_like
-                )
-            )
+            and _is_max_like(value.right, env)
         )
         facts_nonneg = _nonneg(value, env)
         facts_guard = _is_where_guard(value) or _eps_guarded(value)

@@ -55,24 +55,28 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     padded points must receive zero attention weight.  Rows whose mask is
     entirely False produce all-zero outputs rather than NaNs.
 
+    The forward allocates one full-size array (the output) and works on
+    it in place; only the per-row max and sum are extra.  The match
+    pattern is a (B, T, T) array per pair batch, so every further
+    full-size temporary is a fresh multi-megabyte allocation.
+
     Parameters
     ----------
     x:
-        Scores tensor.
+        Scores tensor; not modified.
     mask:
         Boolean array broadcastable to ``x.shape``; True marks valid points.
     """
+    # A view, not a copy; raises ValueError when the mask does not fit.
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    neg_inf = np.where(mask, 0.0, -np.inf)
-    shifted = x.data + neg_inf
-    row_max = shifted.max(axis=axis, keepdims=True)
+    out_data = np.where(mask, x.data, -np.inf)
+    row_max = out_data.max(axis=axis, keepdims=True)
     # Rows that are fully masked have row_max == -inf; neutralise them.
     row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    exps = np.exp(np.where(mask, shifted - row_max, -np.inf))
-    exps = np.where(mask, exps, 0.0)
-    denom = exps.sum(axis=axis, keepdims=True)
-    safe_denom = np.where(denom == 0.0, 1.0, denom)
-    out_data = exps / safe_denom
+    out_data -= row_max
+    np.exp(out_data, out=out_data)  # masked entries: exp(-inf) == 0
+    denom = out_data.sum(axis=axis, keepdims=True)
+    out_data /= np.where(denom == 0.0, 1.0, denom)
 
     def backward(grad: np.ndarray, a=x) -> None:
         inner = (grad * out_data).sum(axis=axis, keepdims=True)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..autograd import Tensor, concat, no_grad
 from ..data.batching import pad_batch, pair_batch
+from ..metrics import length_ordered_pairs
 from ..nn import GRU, LSTM, MLP, LeakyReLU, Linear, Module, cross_match, gather_last
 from .config import TMNConfig
 
@@ -109,6 +110,11 @@ class TrajectoryPairModel(Module):
         return np.concatenate(chunks, axis=0)
 
 
+def _lengths(trajs: Sequence) -> np.ndarray:
+    """Point counts of a trajectory list (arrays or ``Trajectory`` objects)."""
+    return np.array([len(t.points if hasattr(t, "points") else t) for t in trajs])
+
+
 def pair_distance_matrix(
     model: TrajectoryPairModel,
     trajs: Sequence,
@@ -117,7 +123,10 @@ def pair_distance_matrix(
     """Predicted-distance matrix for top-k search, respecting pair semantics.
 
     Siamese models are encoded once per trajectory; pair-interacting models
-    (TMN) run one forward per trajectory pair over the upper triangle.
+    (TMN) run one forward per trajectory pair over the upper triangle, in
+    batches of length-ordered pairs
+    (:func:`repro.metrics.length_ordered_pairs`) so that each batch pads
+    to nearly its own pairs' lengths.
     """
     trajs = list(trajs)
     n = len(trajs)
@@ -128,7 +137,7 @@ def pair_distance_matrix(
 
         return embedding_distance_matrix(model.encode(trajs))
     result = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = length_ordered_pairs(*np.triu_indices(n, k=1), _lengths(trajs))
     with no_grad():
         for start in range(0, rows.size, batch_pairs):
             r = rows[start : start + batch_pairs]
@@ -146,7 +155,10 @@ def pair_cross_distance_matrix(
     base: Sequence,
     batch_pairs: int = 256,
 ) -> np.ndarray:
-    """Predicted Q x N distance matrix between two collections."""
+    """Predicted Q x N distance matrix between two collections.
+
+    Pair batches are length-ordered as in :func:`pair_distance_matrix`.
+    """
     queries = list(queries)
     base = list(base)
     if not model.requires_pair_interaction:
@@ -157,8 +169,9 @@ def pair_cross_distance_matrix(
     q_idx, b_idx = np.meshgrid(
         np.arange(len(queries)), np.arange(len(base)), indexing="ij"
     )
-    q_idx = q_idx.ravel()
-    b_idx = b_idx.ravel()
+    q_idx, b_idx = length_ordered_pairs(
+        q_idx.ravel(), b_idx.ravel(), _lengths(queries), _lengths(base)
+    )
     with no_grad():
         for start in range(0, q_idx.size, batch_pairs):
             qs = q_idx[start : start + batch_pairs]

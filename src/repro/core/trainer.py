@@ -311,7 +311,6 @@ class Trainer:
         preds = []
         trues = []
         w_parts = []
-        n_terms_per_pair = np.zeros(len(la))
         for cut in range(stride, max_cut, stride):
             idx = np.where(shortest > cut)[0]
             if idx.size == 0:
@@ -324,7 +323,6 @@ class Trainer:
             emb_b = out_b[idx, cut - 1]
             preds.append(predicted_similarity(emb_a, emb_b))
             w_parts.append(weights[idx])
-            n_terms_per_pair[idx] += 1
         if not preds:
             return None
         pred = concat(preds, axis=0)

@@ -11,7 +11,12 @@ from .erp import erp
 from .frechet import frechet
 from .hausdorff import hausdorff
 from .lcss import lcss, lcss_length
-from .matrix import cross_distance_matrix, pad_trajectories, pairwise_distance_matrix
+from .matrix import (
+    cross_distance_matrix,
+    length_ordered_pairs,
+    pad_trajectories,
+    pairwise_distance_matrix,
+)
 from .point import as_points, cross_dist
 from .pruning import PrunedSearchStats, lb_kim, lb_pointwise, pruned_dtw_topk
 from .registry import METRIC_NAMES, MetricSpec, get_metric
@@ -29,6 +34,7 @@ __all__ = [
     "pairwise_distance_matrix",
     "cross_distance_matrix",
     "pad_trajectories",
+    "length_ordered_pairs",
     "as_points",
     "cross_dist",
     "MetricSpec",

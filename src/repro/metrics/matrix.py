@@ -4,6 +4,15 @@ Training every model in the paper requires the exact pairwise distances of
 the training set under the chosen metric; evaluation requires the
 query-by-database matrix.  Both are produced here in vectorised chunks via
 the batched DP engines, which is what keeps CPU-only reproduction feasible.
+
+A chunk of pairs costs its padded size: the DP fills ``m_max * n_max``
+cells per pair.  :func:`length_ordered_pairs` therefore sorts the pairs by
+length before chunking, and each chunk is cropped to its own longest
+sides, so no chunk pays for the longest trajectory of the whole
+collection.  The DP read-out never looks past the true lengths, so the
+matrices are bit-identical to an unordered, uncropped evaluation.  The
+pairwise-TMN builders in :mod:`repro.core.model` chunk with the same
+helper.
 """
 
 from __future__ import annotations
@@ -15,7 +24,12 @@ import numpy as np
 from .point import as_points
 from .registry import MetricSpec, get_metric
 
-__all__ = ["pad_trajectories", "pairwise_distance_matrix", "cross_distance_matrix"]
+__all__ = [
+    "pad_trajectories",
+    "length_ordered_pairs",
+    "pairwise_distance_matrix",
+    "cross_distance_matrix",
+]
 
 
 def _resolve(metric: Union[str, MetricSpec], **params) -> MetricSpec:
@@ -41,6 +55,35 @@ def pad_trajectories(trajs: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     return stacked, lengths
 
 
+def length_ordered_pairs(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    lengths_a: np.ndarray,
+    lengths_b: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reorder pair index arrays by (longer length, shorter length).
+
+    Pair ``p`` is trajectory ``rows[p]`` (length ``lengths_a[rows[p]]``) on
+    side a against ``cols[p]`` (``lengths_b[cols[p]]``) on side b.  After
+    the sort, consecutive pairs have similar lengths, so a chunk of them
+    padded to its own maximum is nearly all real points.  The sort is
+    stable, so the order is deterministic.
+
+    With ``lengths_b`` omitted both indices address one collection (a
+    symmetric matrix) and each pair is first turned so that its shorter
+    trajectory is on side a; the caller writes both ``(i, j)`` and
+    ``(j, i)``.  Otherwise the sides are kept.
+    """
+    if lengths_b is None:
+        lengths_b = lengths_a
+        swap = lengths_a[rows] > lengths_a[cols]
+        rows, cols = np.where(swap, cols, rows), np.where(swap, rows, cols)
+    len_a = lengths_a[rows]
+    len_b = lengths_b[cols]
+    order = np.lexsort((np.minimum(len_a, len_b), np.maximum(len_a, len_b)))
+    return rows[order], cols[order]
+
+
 def pairwise_distance_matrix(
     trajs: Sequence,
     metric: Union[str, MetricSpec] = "dtw",
@@ -50,8 +93,8 @@ def pairwise_distance_matrix(
 ) -> np.ndarray:
     """Symmetric N x N exact distance matrix under ``metric``.
 
-    Only the upper triangle is computed; the diagonal is zero by the
-    identity property of every supported metric.
+    Only the upper triangle is computed, in length-ordered chunks; the
+    diagonal is zero by the identity property of every supported metric.
 
     Parameters
     ----------
@@ -67,11 +110,13 @@ def pairwise_distance_matrix(
     stacked, lengths = pad_trajectories(trajs)
     n = len(lengths)
     result = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = length_ordered_pairs(*np.triu_indices(n, k=1), lengths)
     for start in range(0, rows.size, chunk_size):
         i_idx = rows[start : start + chunk_size]
         j_idx = cols[start : start + chunk_size]
-        dists = spec.batch(stacked[i_idx], stacked[j_idx], lengths[i_idx], lengths[j_idx])
+        la, lb = lengths[i_idx], lengths[j_idx]
+        # Crop each side to this chunk's own longest trajectory.
+        dists = spec.batch(stacked[i_idx, : la.max()], stacked[j_idx, : lb.max()], la, lb)
         result[i_idx, j_idx] = dists
         result[j_idx, i_idx] = dists
     return result
@@ -87,25 +132,14 @@ def cross_distance_matrix(
 ) -> np.ndarray:
     """Exact Q x N distance matrix between two trajectory collections."""
     spec = _resolve(metric, eps=eps, gap=gap)
-    q_pts = [as_points(t) for t in queries]
-    b_pts = [as_points(t) for t in base]
-    longest = max(max(len(p) for p in q_pts), max(len(p) for p in b_pts))
-    q_stack = np.zeros((len(q_pts), longest, 2))
-    for i, p in enumerate(q_pts):
-        q_stack[i, : len(p)] = p
-    b_stack = np.zeros((len(b_pts), longest, 2))
-    for i, p in enumerate(b_pts):
-        b_stack[i, : len(p)] = p
-    q_len = np.array([len(p) for p in q_pts], dtype=int)
-    b_len = np.array([len(p) for p in b_pts], dtype=int)
-
-    result = np.zeros((len(q_pts), len(b_pts)))
-    q_idx, b_idx = np.meshgrid(np.arange(len(q_pts)), np.arange(len(b_pts)), indexing="ij")
-    q_idx = q_idx.ravel()
-    b_idx = b_idx.ravel()
-    for start in range(0, q_idx.size, chunk_size):
-        qi = q_idx[start : start + chunk_size]
-        bi = b_idx[start : start + chunk_size]
-        dists = spec.batch(q_stack[qi], b_stack[bi], q_len[qi], b_len[bi])
-        result[qi, bi] = dists
+    q_stack, q_len = pad_trajectories(queries)
+    b_stack, b_len = pad_trajectories(base)
+    result = np.zeros((len(q_len), len(b_len)))
+    q_idx, b_idx = np.meshgrid(np.arange(len(q_len)), np.arange(len(b_len)), indexing="ij")
+    rows, cols = length_ordered_pairs(q_idx.ravel(), b_idx.ravel(), q_len, b_len)
+    for start in range(0, rows.size, chunk_size):
+        qi = rows[start : start + chunk_size]
+        bi = cols[start : start + chunk_size]
+        la, lb = q_len[qi], b_len[bi]
+        result[qi, bi] = spec.batch(q_stack[qi, : la.max()], b_stack[bi, : lb.max()], la, lb)
     return result

@@ -30,9 +30,17 @@ METRIC_NAMES: Tuple[str, ...] = ("dtw", "frechet", "hausdorff", "erp", "edr", "l
 
 
 def _batch_cost(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Cross point-distance tensor for stacked pairs: (P, L, 2) x2 -> (P, L, L)."""
-    diff = points_a[:, :, None, :] - points_b[:, None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
+    """Cross point-distance tensor for stacked pairs: (P, m, 2), (P, n, 2) -> (P, m, n).
+
+    One coordinate at a time, in place: a (P, m, n, 2) difference summed
+    over its length-2 axis costs several times the DP that reads it.  The
+    result is bit-identical (``dx*dx + dy*dy`` is that sum).
+    """
+    dx = points_a[:, :, None, 0] - points_b[:, None, :, 0]
+    dy = points_a[:, :, None, 1] - points_b[:, None, :, 1]
+    dist = np.square(dx, out=dx)
+    dist += np.square(dy, out=dy)
+    return np.sqrt(dist, out=dist)
 
 
 def _hausdorff_batch(points_a, points_b, len_a, len_b) -> np.ndarray:

@@ -334,6 +334,48 @@ class TestStabilityRules:
         )
         assert report.ok, report.format_text()
 
+    def test_n001_in_place_exp_without_shift_fires(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            """\
+            import numpy as np
+
+            def softmax(x, mask):
+                s = np.where(mask, x, -np.inf)
+                np.exp(s, out=s)
+                t = x - x.max(axis=-1, keepdims=True)
+                t += 1.0
+                np.exp(t, out=t)
+                return s, t
+            """,
+            ["N001"],
+        )
+        assert [(v.rule, v.line) for v in report.violations] == [
+            ("N001", 5),
+            ("N001", 8),
+        ]
+
+    def test_n001_in_place_max_subtraction_is_safe(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            """\
+            import numpy as np
+
+            def softmax(x, mask):
+                s = np.where(mask, x, -np.inf)
+                row_max = s.max(axis=-1, keepdims=True)
+                row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+                s -= row_max
+                np.exp(s, out=s)
+                s /= s.sum(axis=-1, keepdims=True)
+                t = np.array(x)
+                t -= t.max()
+                return s, np.exp(t)
+            """,
+            ["N001"],
+        )
+        assert report.ok, report.format_text()
+
     def test_n001_nonpositive_argument_is_safe(self, tmp_path):
         report = self._report(
             tmp_path,

@@ -81,6 +81,45 @@ class TestMaskedSoftmax:
         s = masked_softmax(x, np.broadcast_to(mask, x.shape)).data
         assert np.all(s[..., 2] == 0.0)
 
+    def test_bit_identical_to_reference_formula(self, rng):
+        x = rng.normal(size=(5, 7, 7)) * 30.0
+        lengths = np.array([7, 3, 1, 0, 5])
+        key_mask = (np.arange(7)[None, :] < lengths[:, None])[:, None, :]
+        got = masked_softmax(Tensor(x), key_mask).data
+        expected = reference_masked_softmax(x, key_mask)
+        assert np.array_equal(got, expected)
+        assert np.all(got[3] == 0.0)  # fully masked rows give zeros
+
+    def test_does_not_mutate_input(self, rng):
+        data = rng.normal(size=(2, 3, 4))
+        x = Tensor(data.copy())
+        masked_softmax(x, np.array([True, False, True, True]))
+        assert np.array_equal(x.data, data)
+
+    def test_non_broadcastable_mask_raises(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        with pytest.raises(ValueError):
+            masked_softmax(x, np.ones((2, 3, 5), bool))
+
+    def test_gradcheck_broadcast_key_mask(self, rng):
+        x = rng.normal(size=(2, 3, 4))
+        key_mask = np.array([[1, 1, 0, 0], [0, 0, 0, 0]], bool)[:, None, :]
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+        check_gradients(lambda t: masked_softmax(t, key_mask) * w, [x])
+
+
+def reference_masked_softmax(x, mask, axis=-1):
+    """The straightforward masked softmax, one fresh array per step; the
+    in-place kernel must reproduce it bit for bit."""
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    shifted = x + np.where(mask, 0.0, -np.inf)
+    row_max = shifted.max(axis=axis, keepdims=True)
+    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+    exps = np.exp(np.where(mask, shifted - row_max, -np.inf))
+    exps = np.where(mask, exps, 0.0)
+    denom = exps.sum(axis=axis, keepdims=True)
+    return exps / np.where(denom == 0.0, 1.0, denom)
+
 
 class TestConcatStack:
     def test_concat_values(self, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.core import TMN, TMNConfig, pair_cross_distance_matrix, pair_distance_matrix
 from repro.core import model as model_module
 from repro.data import pad_batch, pair_batch
@@ -223,6 +223,56 @@ class TestPairDistanceMatrix:
         expected = embedding_distance_matrix(model.encode(q), model.encode(base))
         np.testing.assert_allclose(mat, expected, atol=1e-8)
 
+
+def per_pair_distances(model, queries, base):
+    """Distances from one unpadded ``embed_pair`` call per pair."""
+    out = np.zeros((len(queries), len(base)))
+    with no_grad():
+        for i, q in enumerate(queries):
+            for j, b in enumerate(base):
+                emb_a, emb_b = model.embed_pair([q], [b])
+                out[i, j] = np.sqrt(((emb_a.data - emb_b.data) ** 2).sum())
+    return out
+
+
+class TestLengthOrderedPairBatches:
+    """The pairwise-TMN builders batch length-ordered pairs; every entry
+    must still be its own pair's forward, up to BLAS summation order."""
+
+    LENGTHS = (3, 9, 3, 6, 1, 9, 4, 12)
+
+    def test_pair_matrix_matches_per_pair_forward(self, model, rng):
+        trajs = [rng.normal(size=(k, 2)) for k in self.LENGTHS]
+        mat = pair_distance_matrix(model, trajs, batch_pairs=5)
+        expected = per_pair_distances(model, trajs, trajs)
+        iu = np.triu_indices(len(trajs), k=1)
+        np.testing.assert_allclose(mat[iu], expected[iu], rtol=1e-12)
+        assert np.array_equal(mat, mat.T)
+        assert not np.any(np.diag(mat))
+
+    def test_cross_matrix_matches_per_pair_forward(self, model, rng):
+        queries = [rng.normal(size=(k, 2)) for k in (5, 1, 9)]
+        base = [rng.normal(size=(k, 2)) for k in self.LENGTHS]
+        mat = pair_cross_distance_matrix(model, queries, base, batch_pairs=5)
+        np.testing.assert_allclose(
+            mat, per_pair_distances(model, queries, base), rtol=1e-12
+        )
+
+    def test_batches_grow_with_length(self, model, rng, monkeypatch):
+        trajs = [rng.normal(size=(k, 2)) for k in self.LENGTHS]
+        widths = []
+        real = model_module.pair_batch
+
+        def spy(trajs_a, trajs_b):
+            batch = real(trajs_a, trajs_b)
+            widths.append(batch[0].shape[1])
+            return batch
+
+        monkeypatch.setattr(model_module, "pair_batch", spy)
+        pair_distance_matrix(model, trajs, batch_pairs=5)
+        # Unordered, nearly every batch would hold a 12-point trajectory.
+        assert widths == sorted(widths)
+        assert widths[0] < max(self.LENGTHS) and widths[-1] == max(self.LENGTHS)
 
 class TestStatePersistence:
     def test_state_dict_roundtrip_preserves_outputs(self, cfg, rng):

@@ -8,11 +8,13 @@ from repro.metrics import (
     MetricSpec,
     cross_distance_matrix,
     get_metric,
+    length_ordered_pairs,
     pad_trajectories,
     pairwise_distance_matrix,
 )
 from repro.metrics._dp import dtw_batch, edr_batch, erp_batch, frechet_batch, lcss_batch
 from repro.metrics.point import cross_dist
+from repro.metrics.registry import _batch_cost
 
 
 def make_trajs(rng, n, max_len=14):
@@ -30,6 +32,13 @@ class TestBatchEngines:
             batch = spec.batch(stacked[idx_a], stacked[idx_b], lengths[idx_a], lengths[idx_b])
             for row, (i, j) in enumerate(zip(idx_a, idx_b)):
                 assert batch[row] == pytest.approx(spec(trajs[i], trajs[j])), name
+
+    def test_batch_cost_bit_identical_to_summed_difference(self, rng):
+        for scale in (1e-6, 1.0, 1e6):
+            pa = rng.normal(size=(6, 5, 2)) * scale
+            pb = rng.normal(size=(6, 8, 2)) * scale
+            expected = np.sqrt(((pa[:, :, None, :] - pb[:, None, :, :]) ** 2).sum(axis=-1))
+            assert np.array_equal(_batch_cost(pa, pb), expected)
 
     def test_padding_values_are_irrelevant(self, rng):
         """The DP read-out must not depend on what lies beyond the true
@@ -145,6 +154,100 @@ class TestCrossMatrix:
         a = cross_distance_matrix(queries, base, "dtw", chunk_size=2)
         b = cross_distance_matrix(queries, base, "dtw", chunk_size=100)
         np.testing.assert_allclose(a, b)
+
+
+#: Ragged lengths with ties and single-point trajectories.
+RAGGED = (1, 5, 3, 5, 9, 2, 9, 4, 5, 1, 12)
+
+
+def ragged_trajs(rng, lengths=RAGGED):
+    return [rng.normal(size=(k, 2)) for k in lengths]
+
+
+def reference_batch(spec, trajs, rows, cols):
+    """One unordered batch over the given pairs, padded to the longest
+    trajectory of the collection: the layout before length ordering."""
+    stacked, lengths = pad_trajectories(trajs)
+    return spec.batch(stacked[rows], stacked[cols], lengths[rows], lengths[cols])
+
+
+class BatchSpy:
+    """Wraps a metric's batch function and records each chunk's layout."""
+
+    def __init__(self, spec):
+        self.inner = spec
+        self.calls = []
+        self.spec = MetricSpec(spec.name, spec.scalar, self.batch, spec.params)
+
+    def batch(self, pa, pb, la, lb):
+        self.calls.append((pa.shape[1], pb.shape[1], np.asarray(la), np.asarray(lb)))
+        return self.inner.batch(pa, pb, la, lb)
+
+
+class TestLengthOrderedChunks:
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    @pytest.mark.parametrize("lengths", [RAGGED, (7, 3)])
+    def test_pairwise_bit_identical_to_one_unordered_batch(self, name, lengths, rng):
+        trajs = ragged_trajs(rng, lengths)
+        spec = get_metric(name)
+        n = len(trajs)
+        rows, cols = np.triu_indices(n, k=1)
+        expected = np.zeros((n, n))
+        expected[rows, cols] = reference_batch(spec, trajs, rows, cols)
+        expected[cols, rows] = expected[rows, cols]
+        got = pairwise_distance_matrix(trajs, spec, chunk_size=7)
+        assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_cross_bit_identical_to_one_unordered_batch(self, name, rng):
+        queries = ragged_trajs(rng, (4, 1, 9, 4))
+        base = ragged_trajs(rng, (2, 12, 4, 6, 9, 1))
+        spec = get_metric(name)
+        q_idx, b_idx = np.meshgrid(np.arange(4), np.arange(6), indexing="ij")
+        expected = reference_batch(spec, queries + base, q_idx.ravel(), 4 + b_idx.ravel())
+        got = cross_distance_matrix(queries, base, spec, chunk_size=7)
+        assert np.array_equal(got, expected.reshape(4, 6)), name
+
+    def test_pairwise_chunks_are_cropped_to_their_own_lengths(self, rng):
+        trajs = ragged_trajs(rng)
+        spy = BatchSpy(get_metric("dtw"))
+        pairwise_distance_matrix(trajs, spy.spec, chunk_size=7)
+        n = len(trajs)
+        assert sum(la.size for *_, la, _ in spy.calls) == n * (n - 1) // 2
+        widths = [(wa, wb) for wa, wb, *_ in spy.calls]
+        assert widths == [(la.max(), lb.max()) for *_, la, lb in spy.calls]
+        # The shorter trajectory of each pair is on side a.
+        assert all(np.all(la <= lb) for *_, la, lb in spy.calls)
+        assert max(wb for _, wb in widths) == max(RAGGED)
+        assert min(wb for _, wb in widths) < max(RAGGED)
+
+    def test_cross_chunks_are_cropped_to_their_own_lengths(self, rng):
+        queries = ragged_trajs(rng, (4, 1, 9, 4))
+        base = ragged_trajs(rng, (2, 12, 4, 6, 9, 1))
+        spy = BatchSpy(get_metric("erp"))
+        cross_distance_matrix(queries, base, spy.spec, chunk_size=7)
+        assert sum(la.size for *_, la, _ in spy.calls) == 24
+        assert [(wa, wb) for wa, wb, *_ in spy.calls] == [
+            (la.max(), lb.max()) for *_, la, lb in spy.calls
+        ]
+
+    def test_order_is_a_permutation_sorted_by_longer_then_shorter(self):
+        lengths = np.array(RAGGED)
+        rows, cols = np.triu_indices(len(lengths), k=1)
+        r, c = length_ordered_pairs(rows, cols, lengths)
+        assert sorted(zip(np.minimum(r, c), np.maximum(r, c))) == sorted(zip(rows, cols))
+        assert np.all(lengths[r] <= lengths[c])
+        keys = list(zip(lengths[c], lengths[r]))
+        assert keys == sorted(keys)
+
+    def test_two_sided_order_keeps_sides(self):
+        len_q = np.array([5, 2])
+        len_b = np.array([1, 7, 3])
+        q_idx, b_idx = np.meshgrid(np.arange(2), np.arange(3), indexing="ij")
+        r, c = length_ordered_pairs(q_idx.ravel(), b_idx.ravel(), len_q, len_b)
+        assert sorted(zip(r, c)) == sorted(zip(q_idx.ravel(), b_idx.ravel()))
+        longer = np.maximum(len_q[r], len_b[c])
+        assert np.all(np.diff(longer) >= 0)
 
 
 class TestRegistry:
