@@ -118,11 +118,13 @@ perfbench-smoke:
 # R010 trace-propagation rule), the concurrency and exception scopes on
 # their own exit gates, tier-1 tests, the sanitized serve subset, the
 # bench-regression gate (perf + serve + memory trajectories), a
+# one-epoch op-profiled training run proving the LSTM kernel and
+# @profiled_op attribution work end to end, a
 # profile-serve smoke run proving the sampler produces a loadable
 # profile, a trace-demo smoke run rendering the single-process engine's
 # serve.topk traces, a trace-shard-demo smoke run proving cross-process
 # stitching works end-to-end, and the perfbench harness smoke test.
-verify: lint lint-concurrency lint-exceptions test sanitize-test bench-check profile-serve trace-demo trace-shard-demo perfbench-smoke
+verify: lint lint-concurrency lint-exceptions test sanitize-test bench-check profile profile-serve trace-demo trace-shard-demo perfbench-smoke
 
 # Re-snapshot the golden trainer regression file after an INTENTIONAL
 # numeric change (review the diff before committing it).

@@ -67,28 +67,36 @@ def _run_dp(cost, len_a, len_b, init_border_row, init_border_col, combine):
     target_k = len_a + len_b
     result = np.empty(pairs)
 
-    prev2 = np.full((pairs, m + 1), _INF)
-    prev1 = np.full((pairs, m + 1), _INF)
+    # Three diagonals, rotated: each is reset to inf before it is reused.
+    prev2, prev1, cur = (np.full((pairs, m + 1), _INF) for _ in range(3))
     # Diagonal k = 0 holds only D[0, 0].
     prev1[:, 0] = init_border_col(0)
+    # cost[p, I-1, k-I-1] sits at flat index (I-1)*n + (k-I-1): consecutive
+    # rows I of one diagonal are n - 1 apart, so a strided view reads it.
+    flat = cost.reshape(pairs, m * n)
     for k in range(1, m + n + 1):
-        cur = np.full((pairs, m + 1), _INF)
+        cur.fill(_INF)
         if k <= n:
             cur[:, 0] = init_border_col(k)  # D[0, k]
         if k <= m:
             cur[:, k] = init_border_row(k)  # D[k, 0]
-        rows = _diag_interior(k, m, n)
-        if rows.size:
-            cols = k - rows
-            c = cost[:, rows - 1, cols - 1]
-            up = prev1[:, rows - 1]
-            left = prev1[:, rows]
-            diag = prev2[:, rows - 1]
-            cur[:, rows] = combine(c, up, left, diag)
+        lo = max(1, k - n)
+        hi = min(m, k - 1)
+        if lo <= hi:
+            start = (lo - 1) * n + (k - lo - 1)
+            if n == 1:
+                # One column: the diagonal has a single interior cell.
+                c = flat[:, start : start + 1]
+            else:
+                c = flat[:, start : start + (hi - lo) * (n - 1) + 1 : n - 1]
+            up = prev1[:, lo - 1 : hi]
+            left = prev1[:, lo : hi + 1]
+            diag = prev2[:, lo - 1 : hi]
+            cur[:, lo : hi + 1] = combine(c, up, left, diag)
         hits = target_k == k
         if np.any(hits):
             result[hits] = cur[hits, len_a[hits]]
-        prev2, prev1 = prev1, cur
+        prev2, prev1, cur = prev1, cur, prev2
     return result
 
 

@@ -3,17 +3,19 @@
 Every model in the paper (SRN, NeuTraj, T3S, Traj2SimVec, TMN) uses an LSTM
 backbone over padded trajectory batches.  This implementation follows the
 standard formulation of Hochreiter & Schmidhuber with input/forget/cell/
-output gates and supports a per-time-step validity mask: at padded steps the
+output gates and supports a per-time-step validity mask that marks a prefix
+of each row: padding comes only at the end of a trajectory, and there the
 hidden and cell states are carried forward unchanged, so the output at any
 step ``>= length`` equals the representation of the last real point — which
 is exactly the "final time step output" the paper uses as the trajectory
-embedding.
+embedding.  A mask with a hole (a real step after a padded one) raises
+``ValueError``.
 
-Both :class:`LSTM` and :class:`LSTMCell` run on the fused sequence kernel
+Both :class:`LSTM` and :class:`LSTMCell` run on the packed sequence kernel
 :func:`repro.nn.fused.fused_lstm_sequence` (a cell step is a one-step
-sequence), which records one tape node per sequence;
-:meth:`LSTMCell.forward_composed` is the primitive-op reference it is
-tested against.
+sequence), which computes only the rows still inside their trajectory and
+records one tape node per sequence; :meth:`LSTMCell.forward_composed` is
+the primitive-op reference it is tested against.
 """
 
 from __future__ import annotations
@@ -107,8 +109,10 @@ class LSTM(Module):
         x:
             Input of shape ``(B, T, input_size)``.
         mask:
-            Optional boolean array ``(B, T)``; False marks padding.  Padded
-            steps leave ``h``/``c`` unchanged.
+            Optional boolean array ``(B, T)``; False marks padding, which
+            must be trailing: each row's True entries form a prefix, or
+            ``ValueError`` is raised.  Padded steps leave ``h``/``c``
+            unchanged.  None means every step is real.
         initial_state:
             Optional ``(h0, c0)`` each of shape ``(B, hidden_size)``.
 

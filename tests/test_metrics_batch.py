@@ -184,6 +184,31 @@ class BatchSpy:
         return self.inner.batch(pa, pb, la, lb)
 
 
+class TestDiagonalDriver:
+    """The shared anti-diagonal driver behind DTW, Fréchet and EDR reads
+    each diagonal through a strided view of the cost tensor; one-point
+    sides and ragged lengths are its edge cases."""
+
+    @pytest.mark.parametrize("name", ["dtw", "frechet", "edr"])
+    @pytest.mark.parametrize(
+        "lengths_a, lengths_b",
+        [
+            ((1, 1), (1, 1)),  # m = n = 1
+            ((1, 1, 1), (6, 1, 3)),  # m = 1
+            ((7, 2, 4), (1, 1, 1)),  # n = 1
+            (RAGGED, RAGGED[::-1]),
+        ],
+    )
+    def test_matches_scalar(self, name, lengths_a, lengths_b, rng):
+        spec = get_metric(name, eps=0.8)
+        trajs_a = ragged_trajs(rng, lengths_a)
+        trajs_b = ragged_trajs(rng, lengths_b)
+        (pa, la), (pb, lb) = pad_trajectories(trajs_a), pad_trajectories(trajs_b)
+        got = spec.batch(pa, pb, la, lb)
+        expected = [spec(a, b) for a, b in zip(trajs_a, trajs_b)]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
 class TestLengthOrderedChunks:
     @pytest.mark.parametrize("name", METRIC_NAMES)
     @pytest.mark.parametrize("lengths", [RAGGED, (7, 3)])

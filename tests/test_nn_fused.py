@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, check_gradients, no_grad, stack, where
+from repro.data.batching import pair_batch
 from repro.nn import LSTM, LSTMCell, gather_last
 from repro.nn.fused import fused_lstm_sequence
 
@@ -199,3 +200,108 @@ class TestFusedSequence:
             assert alive() is None
         finally:
             gc.enable()
+
+
+def prefix_mask(lengths, steps):
+    return np.arange(steps) < np.asarray(lengths)[:, None]
+
+
+def values_and_grads(cell, sequence_fn, raw, mask):
+    """Outputs, h_T, c_T and the gradients of all six inputs for a loss
+    that reaches the sequence through every output."""
+    batch, steps, _ = raw[0].shape
+    weights = np.random.default_rng(7)
+    w_out = weights.normal(size=(batch, steps, cell.hidden_size))
+    w_h = weights.normal(size=(batch, cell.hidden_size))
+    cell.zero_grad()
+    x, h, c = (Tensor(a, requires_grad=True) for a in raw)
+    out, h_last, c_last = sequence_fn(cell, x, h, c, mask)
+    loss = (out * Tensor(w_out)).sum() + (h_last * Tensor(w_h)).sum() + (c_last * c_last).sum()
+    loss.backward()
+    values = [out.data, h_last.data, c_last.data]
+    grads = [t.grad for t in (x, h, c)] + [
+        p.grad.copy() for p in (cell.weight_ih, cell.weight_hh, cell.bias)
+    ]
+    return values, grads
+
+
+class TestPackedRows:
+    """The packed kernel sorts rows by length and computes only the live
+    prefix of each step; none of that may show in values or gradients."""
+
+    @pytest.mark.parametrize(
+        "lengths, steps",
+        [
+            ([2, 5, 3, 5, 2, 1], 5),  # unsorted, with ties
+            ([3, 0, 5, 0], 5),  # length-0 rows
+            ([3, 1, 2, 3], 7),  # trailing steps padded for every row
+            ([5, 4, 4, 1], 5),  # already sorted: no reorder
+        ],
+    )
+    def test_matches_composed_loop(self, cell, rng, lengths, steps):
+        raw = (
+            rng.normal(size=(len(lengths), steps, 3)),
+            rng.normal(size=(len(lengths), 4)),
+            rng.normal(size=(len(lengths), 4)),
+        )
+        mask = prefix_mask(lengths, steps)
+        fused = values_and_grads(cell, fused_sequence, raw, mask)
+        composed = values_and_grads(cell, composed_sequence, raw, mask)
+        for a, b in zip(fused[0] + fused[1], composed[0] + composed[1]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_mask_none_is_all_real(self, cell, rng):
+        raw = (rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+        unmasked = values_and_grads(cell, fused_sequence, raw, None)
+        full = np.ones((3, 4), bool)
+        composed = values_and_grads(cell, composed_sequence, raw, full)
+        for a, b in zip(unmasked[0] + unmasked[1], composed[0] + composed[1]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_length_zero_row_outputs_initial_state(self, cell, rng):
+        x = Tensor(rng.normal(size=(3, 4, 3)))
+        h0, c0 = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+        out, h_last, c_last = fused_sequence(cell, x, h0, c0, prefix_mask([4, 0, 2], 4))
+        np.testing.assert_array_equal(out.data[1], np.broadcast_to(h0.data[1], (4, 4)))
+        np.testing.assert_array_equal(h_last.data[1], h0.data[1])
+        np.testing.assert_array_equal(c_last.data[1], c0.data[1])
+
+    def test_pair_batch_side_a(self, rng):
+        """Side a of a pair batch is padded to the longer side b, so its
+        last steps are padding for every row."""
+        lstm = LSTM(2, 4, rng=rng)
+        trajs_a = [rng.normal(size=(k, 2)) for k in (3, 5, 2)]
+        trajs_b = [rng.normal(size=(k, 2)) for k in (8, 4, 6)]
+        x_a, len_a, mask_a = pair_batch(trajs_a, trajs_b)[:3]
+        steps = x_a.shape[1]
+        assert not mask_a[:, len_a.max() :].any()
+        out, (h_last, _) = lstm(Tensor(x_a), mask=mask_a)
+        for row, (traj, n) in enumerate(zip(trajs_a, len_a)):
+            alone, _ = lstm(Tensor(traj[None]))
+            np.testing.assert_allclose(out.data[row, :n], alone.data[0], rtol=0, atol=1e-12)
+            # Past its end a row repeats its last state.
+            np.testing.assert_array_equal(out.data[row, n:], out.data[row, n - 1 : n].repeat(steps - n, 0))
+            np.testing.assert_array_equal(h_last.data[row], out.data[row, -1])
+
+    def test_mask_with_hole_raises(self, cell, rng):
+        x = Tensor(rng.normal(size=(2, 4, 3)))
+        h, c = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))
+        hole = np.array([[True, False, True, False], [True, True, False, False]])
+        with pytest.raises(ValueError, match="prefix"):
+            fused_sequence(cell, x, h, c, hole)
+        with pytest.raises(ValueError, match="prefix"):
+            LSTM(3, 4, rng=rng)(x, mask=hole)
+
+    def test_padded_input_values_do_not_reach_parameter_gradients(self, cell, rng):
+        lengths = [2, 5, 0, 3]
+        mask = prefix_mask(lengths, 5)
+        x = rng.normal(size=(4, 5, 3))
+        state = (rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+        noisy = x.copy()
+        noisy[~mask] = rng.normal(size=(int((~mask).sum()), 3)) * 1e3
+        clean = values_and_grads(cell, fused_sequence, (x,) + state, mask)
+        dirty = values_and_grads(cell, fused_sequence, (noisy,) + state, mask)
+        for a, b in zip(clean[0], dirty[0]):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(clean[1][1:], dirty[1][1:]):
+            np.testing.assert_array_equal(a, b)
