@@ -114,8 +114,7 @@ trace-shard-demo:
 perfbench-smoke:
 	python3 perfbench/smoke.py
 
-# The default verification path: lint (all families, including the
-# R010 trace-propagation rule), the concurrency and exception scopes on
+# The default verification path: lint (all families), the concurrency and exception scopes on
 # their own exit gates, tier-1 tests, the sanitized serve subset, the
 # bench-regression gate (perf + serve + memory trajectories), a
 # one-epoch op-profiled training run proving the LSTM kernel and

@@ -12,7 +12,8 @@ questions need:
   a base class in another file are visible on the subclass;
 - a **call graph** over every function and method, including edges through
   ``self.<attr>`` layer calls (attribute types are inferred from
-  ``__init__`` bodies and simple factory-function returns), through
+  ``__init__`` assignments and annotations and simple factory-function
+  returns), through
   :class:`~repro.autograd.tensor.Tensor` method calls, and through the
   operator dunders (``a + b`` adds an edge to ``Tensor.__add__``);
 - **reachability** from the model forward methods (``forward``,
@@ -188,6 +189,7 @@ class ProjectDataflow:
         self.functions: Dict[str, FunctionInfo] = {}  #: keyed by node id
         self.edges: Dict[str, Set[str]] = {}
         self.tensor_class: Optional[ClassInfo] = None
+        self._subclasses: Optional[Dict[str, List[ClassInfo]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -380,6 +382,9 @@ class ProjectDataflow:
         Walks every ``__init__`` in the MRO.  ``self.x = SomeClass(...)``
         binds directly; ``self.x = factory(...)`` binds to every class the
         factory can return (simple ``return SomeClass(...)`` bodies only).
+        An annotated ``self.x: Ann = ...`` binds to the first project class
+        named in ``Ann``, so ``List[Base]`` types ``x`` (and, for callers
+        iterating it, its items) as ``Base``.
         """
         out: Dict[str, ClassInfo] = {}
         for klass in reversed(self.mro(cinfo)):  # subclass assignments win
@@ -390,6 +395,17 @@ class ProjectDataflow:
             if module is None:
                 continue
             for node in ast.walk(init):
+                if isinstance(node, ast.AnnAssign):
+                    target = node.target
+                    declared = self._annotation_class(module, node.annotation)
+                    if (
+                        declared is not None
+                        and isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    ):
+                        out[target.attr] = declared
+                    continue
                 if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
                     continue
                 value_classes = self._call_result_classes(module, node.value)
@@ -405,6 +421,37 @@ class ProjectDataflow:
                         # record all for call-graph edges via _factory_edges.
                         out[target.attr] = value_classes[0]
         return out
+
+    def _annotation_class(self, module: ModuleInfo, annotation: ast.AST) -> Optional[ClassInfo]:
+        """The first project class an annotation names (``List[Shard]`` -> Shard)."""
+        for node in ast.walk(annotation):
+            dotted = _dotted(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+            ref = self.resolve(module, dotted) if dotted else None
+            if ref is not None and ref.kind == "class":
+                return self.class_info(ref)
+        return None
+
+    def overrides(self, cinfo: ClassInfo, name: str) -> List[FunctionInfo]:
+        """Every subclass's own definition of method ``name`` (virtual dispatch).
+
+        A call on a value typed as ``cinfo`` may land on any of them, so
+        callers that resolve such a call add these to the base lookup.
+        """
+        if self._subclasses is None:
+            self._subclasses = {}
+            for module in self.modules.values():
+                for klass in module.classes.values():
+                    for base in self.mro(klass)[1:]:
+                        self._subclasses.setdefault(base.key, []).append(klass)
+        return [
+            FunctionInfo(
+                node=klass.methods[name],
+                module_rel=klass.module_rel,
+                qualname=f"{klass.name}.{name}",
+            )
+            for klass in self._subclasses.get(cinfo.key, ())
+            if name in klass.methods
+        ]
 
     def _call_result_classes(self, module: ModuleInfo, call: ast.Call) -> List[ClassInfo]:
         """Classes a call expression may construct (directly or via factory)."""

@@ -469,8 +469,8 @@ class _FnWalker:
         cached = model._type_cache.get(fn.key)
         if cached is None:
             cinfo = fn.cinfo
-            attr_types = model.flow.attr_types(cinfo) if cinfo is not None else {}
-            cached = (attr_types, self._infer_local_types())
+            self._attr_types = model.flow.attr_types(cinfo) if cinfo is not None else {}
+            cached = (self._attr_types, self._infer_local_types())
             model._type_cache[fn.key] = cached
         self._attr_types, self._local_types = cached
 
@@ -490,6 +490,18 @@ class _FnWalker:
         types: Dict[str, ClassInfo] = {}
         for scope in reversed(chain):
             for node in ast.walk(scope.node):
+                # `for item in self.items` (loop or comprehension): the item
+                # takes the declared type of the iterated attribute.
+                if isinstance(node, (ast.For, ast.comprehension)):
+                    it = node.iter
+                    if (
+                        isinstance(node.target, ast.Name)
+                        and isinstance(it, ast.Attribute)
+                        and isinstance(it.value, ast.Name)
+                        and it.value.id == "self"
+                        and it.attr in self._attr_types
+                    ):
+                        types[node.target.id] = self._attr_types[it.attr]
                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                     classes = self.model.flow._call_result_classes(
                         self.minfo, node.value
@@ -766,10 +778,11 @@ class _FnWalker:
         return keys
 
     def _method_keys(self, cinfo: ClassInfo, name: str) -> List[str]:
-        fi = self.model.flow.find_method(cinfo, name)
-        if fi is None:
-            return []
-        return self._known([f"{fi.module_rel}::{fi.qualname}"])
+        """The method ``name`` resolves to on ``cinfo``, plus every subclass
+        override (the receiver may be any subclass instance)."""
+        flow = self.model.flow
+        found = [flow.find_method(cinfo, name)] + flow.overrides(cinfo, name)
+        return self._known([f"{fi.module_rel}::{fi.qualname}" for fi in found if fi])
 
     def _instance_call_keys(self, cinfo: ClassInfo) -> List[str]:
         keys = []

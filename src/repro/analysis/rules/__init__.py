@@ -9,12 +9,12 @@ Importing this package registers every rule with
 - R004 (:mod:`.dtype`) — float64 engine discipline, no narrow-float drift;
 - R005/R006 (:mod:`.api`) — ``__all__`` accuracy and public docstrings;
 - R007 (:mod:`.prints`) — no bare ``print`` in library code;
-- R008 (:mod:`.tracing`) — span/trace objects must be context-managed;
+- R008 (:mod:`.tracing`) — span/trace objects must be context-managed,
+  and no trace-context token may be minted and discarded (a shard
+  request cannot drop its context at all: ``trace_ctx`` is a required
+  keyword of the one dispatch method);
 - R009 (:mod:`.profiling`) — sampler/tracemalloc sessions must be
   released via ``with`` or a ``finally`` stop;
-- R010 (:mod:`.tracing`) — shard dispatch sites must propagate a
-  ``TraceContext`` (no dispatch dicts without ``trace_ctx``, no
-  discarded context tokens);
 - S001 (:mod:`.wiring`) — symbolic layer-dimension checking;
 - D001/D002 (:mod:`.differentiability`) — backward/gradcheck coverage and
   detach-free forward paths, audited over the cross-module call graph;

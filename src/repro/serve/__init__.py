@@ -9,19 +9,18 @@ package is the subsystem that actually serves those queries:
 - :mod:`repro.serve.batcher` — micro-batching encode queue coalescing
   concurrent requests into padded model batches (flush on size or
   deadline), with a fault-isolation boundary per batch;
-- :mod:`repro.serve.engine` — :class:`SimilarityServer`: cache → queue →
-  HNSW/brute top-k with per-request deadlines; a missed deadline or a
-  poisoned batch yields a degraded-but-exact answer, never an exception;
-- :mod:`repro.serve.shard` — :class:`ShardedSimilarityServer`: the
-  process-pool tier — N spawned workers each owning an index shard and
-  a MicroBatcher, shared-memory payload handoff, scatter-gather top-k
-  merge with per-shard deadlines and the same never-raises contract;
+- :mod:`repro.serve.engine` — :class:`SimilarityServer`, the one serving
+  coordinator (cache → encode → search every shard → exact merge, with
+  per-request deadlines and a never-raises ``topk``), here over one
+  in-process :class:`LocalShard`;
+- :mod:`repro.serve.shard` — :class:`ShardedSimilarityServer`, the same
+  coordinator over N :class:`ProcessShard` s (spawned workers,
+  shared-memory handoff, retained fallback blocks);
 - :mod:`repro.serve.bench` — the ``repro-tmn serve-bench`` harness
   measuring served vs naive one-forward-per-request throughput, plus
   the sharded closed-loop bench behind ``--shards``.
 
-See DESIGN.md §11 for the single-process architecture and failure-mode
-table, §16 for the sharded tier.
+See DESIGN.md §11 for the architecture and the failure-mode table.
 """
 
 from .batcher import MicroBatcher
@@ -34,19 +33,27 @@ from .bench import (
     run_shard_bench,
 )
 from .cache import EmbeddingCache, trajectory_key
-from .engine import ServeResult, SimilarityServer, exact_metric_topk
+from .engine import (
+    LocalShard,
+    ServeResult,
+    SimilarityServer,
+    exact_metric_topk,
+    merge_topk,
+)
 from .shard import (
     FeatureEncoder,
+    ProcessShard,
     ShardDeadError,
     ShardedSimilarityServer,
     assign_shard,
-    merge_topk,
 )
 
 __all__ = [
     "EmbeddingCache",
     "FeatureEncoder",
+    "LocalShard",
     "MicroBatcher",
+    "ProcessShard",
     "ServeBenchResult",
     "ServeResult",
     "ShardBenchResult",

@@ -9,10 +9,11 @@ The headline number is the throughput ratio — how much the micro-batching
 queue buys over per-request forwards — plus latency percentiles, cache
 and degradation counters, and a zero-drop check.
 
-The harness is deterministic given ``seed`` (corpus, query order and
-model init all derive from it); wall-clock numbers of course vary by
-machine.  Results serialise to a plain dict so the benchmark suite can
-feed them into ``BENCH_serve.json`` via ``bench_record``.
+The sharded bench (``--shards N``) drives the worker pool against the
+same shard graphs searched in process.  Both share one closed-loop
+driver, one result base and one finishing tail.  Runs are deterministic
+given ``seed``; results serialise to the dicts ``BENCH_serve.json``
+records.
 """
 
 from __future__ import annotations
@@ -64,29 +65,23 @@ _BENCH_LOG = get_logger("repro.serve.bench")
 METRICS_ENV = "REPRO_SERVE_METRICS"
 
 
-@dataclass
-class ServeBenchResult:
-    """Outcome of one serve-bench run (all times in seconds)."""
+@dataclass(kw_only=True)
+class _BenchResult:
+    """Fields and checks both serve benches report (all times in seconds)."""
 
     n_db: int
     n_queries: int
     workers: int
-    batch_size: int
-    served_seconds: float
-    naive_seconds: float
-    naive_queries: int
     completed: int
     dropped: int
     degraded: int
-    cache_hits: int
     latency_p50: float
     latency_p99: float
-    batch_size_mean: float
     #: One status per evaluated SLO (latency / degraded-rate / drop-rate
-    #: / memory gauge ceilings).
+    #: / shard balance / memory gauge ceilings).
     slo_statuses: List[SLOStatus] = field(default_factory=list)
-    #: Exact accounted payload bytes per stored trajectory (store +
-    #: cache + index), from ``SimilarityServer.memory_stats``.
+    #: Exact accounted payload bytes per stored trajectory, from the
+    #: server's ``memory_stats``.
     bytes_per_trajectory: float = 0.0
     #: Process high-water RSS at the end of the served phase.
     peak_rss_bytes: float = 0.0
@@ -95,6 +90,34 @@ class ServeBenchResult:
     def slo_ok(self) -> bool:
         """Whether every evaluated SLO held over this run's traces."""
         return all(s.ok for s in self.slo_statuses)
+
+    def to_dict(self) -> Dict[str, float]:
+        """Flat JSON-ready summary (what the bench JSON records)."""
+        return {
+            "n_db": float(self.n_db),
+            "n_queries": float(self.n_queries),
+            "workers": float(self.workers),
+            "completed": float(self.completed),
+            "dropped": float(self.dropped),
+            "degraded": float(self.degraded),
+            "latency_p50": self.latency_p50,
+            "latency_p99": self.latency_p99,
+            "slo_failures": float(sum(1 for s in self.slo_statuses if not s.ok)),
+            "bytes_per_trajectory": self.bytes_per_trajectory,
+            "peak_rss_bytes": self.peak_rss_bytes,
+        }
+
+
+@dataclass(kw_only=True)
+class ServeBenchResult(_BenchResult):
+    """Outcome of one serve-bench run (all times in seconds)."""
+
+    batch_size: int
+    served_seconds: float
+    naive_seconds: float
+    naive_queries: int
+    cache_hits: int
+    batch_size_mean: float
 
     @property
     def served_qps(self) -> float:
@@ -114,23 +137,13 @@ class ServeBenchResult:
     def to_dict(self) -> Dict[str, float]:
         """Flat JSON-ready summary (what the bench JSON records)."""
         return {
-            "n_db": float(self.n_db),
-            "n_queries": float(self.n_queries),
-            "workers": float(self.workers),
+            **super().to_dict(),
             "batch_size": float(self.batch_size),
             "served_qps": self.served_qps,
             "naive_qps": self.naive_qps,
             "speedup": self.speedup,
-            "completed": float(self.completed),
-            "dropped": float(self.dropped),
-            "degraded": float(self.degraded),
             "cache_hits": float(self.cache_hits),
-            "latency_p50": self.latency_p50,
-            "latency_p99": self.latency_p99,
             "batch_size_mean": self.batch_size_mean,
-            "slo_failures": float(sum(1 for s in self.slo_statuses if not s.ok)),
-            "bytes_per_trajectory": self.bytes_per_trajectory,
-            "peak_rss_bytes": self.peak_rss_bytes,
         }
 
 
@@ -188,11 +201,10 @@ def run_serve_bench(
     mirrors every request trace to a JSONL file for ``repro-tmn trace``.
 
     ``sampler`` (a :class:`~repro.obs.sampler.StackSampler`) is run over
-    the measured phases when given — ``repro-tmn profile-serve`` passes
-    one; a sampler already running stays caller-managed.  ``metrics_out``
-    (or the ``REPRO_SERVE_METRICS`` env var) names a JSON file receiving
-    the registry snapshot; it is written *before* any strict-SLO raise,
-    so a failing run still leaves its evidence on disk.
+    the measured phases when given; a sampler already running stays
+    caller-managed.  ``metrics_out`` (or ``$REPRO_SERVE_METRICS``) names a
+    JSON file receiving the registry snapshot, written before any SLO
+    raise (see :func:`_finish`).
     """
     rng = np.random.default_rng(seed)
     length_kwargs = {}
@@ -215,12 +227,8 @@ def run_serve_bench(
 
     model = _build_encoder(hidden_dim, seed)
     server = SimilarityServer(
-        model,
-        dim=model.output_dim,
-        max_batch_size=batch_size,
-        max_wait_ms=max_wait_ms,
-        cache_capacity=max(4 * n_db, 256),
-        seed=seed,
+        model, dim=model.output_dim, max_batch_size=batch_size,
+        max_wait_ms=max_wait_ms, cache_capacity=max(4 * n_db, 256), seed=seed,
     )
     registry = get_registry()
     batch_hist = registry.histogram("serve.batch.size")
@@ -249,12 +257,6 @@ def run_serve_bench(
             workers,
         )
 
-        completed = sum(1 for r in results if r is not None)
-        dropped = n_queries - completed
-        degraded = sum(1 for r in results if r is not None and r.degraded)
-        cache_hits = sum(1 for r in results if r is not None and r.cache_hit)
-        latency_p50, latency_p99 = _latency_percentiles(results)
-
         # Naive baseline: the same encoder, one forward per request.
         n_naive = naive_queries if naive_queries is not None else min(100, n_queries)
         start = time.perf_counter()
@@ -264,27 +266,6 @@ def run_serve_bench(
 
         batch_count = batch_hist.count - batches_before
         batch_requests = batch_hist.total - batch_total_before
-        batch_mean = batch_requests / batch_count if batch_count else 0.0
-        # Memory audit after the served phase: sets the serve.*.bytes /
-        # mem.* gauges the gauge_max SLOs below read.
-        memory = server.memory_stats(registry=registry)
-        # Evaluate the serving promises over this run's request traces
-        # (the last n_queries serve.topk traces in the ring are ours),
-        # plus the memory-budget gauges.  Evaluation is non-strict here:
-        # the metrics snapshot must land on disk before any raise, so a
-        # failing run still leaves its evidence behind (assert_slos at
-        # the end turns breaches into the SLOViolation callers expect).
-        if slos is None:
-            slos = DEADLINE_SERVE_SLOS if deadline_s is not None else DEFAULT_SERVE_SLOS
-            slos = tuple(slos) + tuple(DEFAULT_MEMORY_SLOS)
-        slo_statuses = check_slos(
-            slos,
-            tracer=tracer,
-            window=n_queries,
-            totals={"requests": float(n_queries), "dropped": float(dropped)},
-            strict=False,
-            registry=registry,
-        )
         result = ServeBenchResult(
             n_db=n_db,
             n_queries=n_queries,
@@ -293,23 +274,14 @@ def run_serve_bench(
             served_seconds=served_seconds,
             naive_seconds=naive_seconds,
             naive_queries=n_naive,
-            completed=completed,
-            dropped=dropped,
-            degraded=degraded,
-            cache_hits=cache_hits,
-            latency_p50=latency_p50,
-            latency_p99=latency_p99,
-            batch_size_mean=batch_mean,
-            slo_statuses=list(slo_statuses),
-            bytes_per_trajectory=float(memory["bytes_per_trajectory"]),
-            peak_rss_bytes=float(memory["peak_rss_bytes"]),
+            cache_hits=sum(1 for r in results if r is not None and r.cache_hit),
+            **_tally(results),
+            batch_size_mean=batch_requests / batch_count if batch_count else 0.0,
         )
-        # Persist the registry snapshot BEFORE enforcing SLOs: a breach
-        # must not cost us the measurements that explain it.
-        _export_metrics(metrics_out, registry)
-        if enforce_slos:
-            assert_slos(slo_statuses)
-        return result
+        if slos is None:
+            slos = DEADLINE_SERVE_SLOS if deadline_s is not None else DEFAULT_SERVE_SLOS
+            slos = tuple(slos) + tuple(DEFAULT_MEMORY_SLOS)
+        return _finish(result, server, slos, tracer, registry, metrics_out, enforce_slos)
     finally:
         if owns_sampler:
             sampler.stop()
@@ -319,18 +291,43 @@ def run_serve_bench(
             tracer.configure(log_path=None)  # flush + close the JSONL log
 
 
-def _export_metrics(metrics_out: Optional[str], registry) -> None:
-    """Write the registry snapshot to ``metrics_out`` or ``$REPRO_SERVE_METRICS``.
+def _finish(
+    result: _BenchResult,
+    server,
+    slos: Sequence[SLO],
+    tracer,
+    registry,
+    metrics_out: Optional[str],
+    enforce_slos: bool,
+) -> _BenchResult:
+    """The tail both benches share: audit memory, check SLOs, export, assert.
 
-    No-op when neither names a path.  Runs on the SLO-violation exit
-    path too, so it must not assume a healthy run.
+    The memory audit sets the gauges the memory SLOs read; the SLOs are
+    checked non-strictly over the run's last ``n_queries`` traces, so the
+    registry snapshot reaches ``metrics_out`` (or ``$REPRO_SERVE_METRICS``)
+    before a breach raises :class:`~repro.obs.slo.SLOViolation`.
     """
+    memory = server.memory_stats(registry=registry)
+    result.bytes_per_trajectory = float(memory["bytes_per_trajectory"])
+    result.peak_rss_bytes = float(memory["peak_rss_bytes"])
+    result.slo_statuses = list(
+        check_slos(
+            slos,
+            tracer=tracer,
+            window=result.n_queries,
+            totals={"requests": float(result.n_queries), "dropped": float(result.dropped)},
+            strict=False,
+            registry=registry,
+        )
+    )
     path = metrics_out if metrics_out is not None else os.environ.get(METRICS_ENV)
-    if not path:
-        return
-    with open(path, "w") as fh:
-        json.dump({"metrics": registry.snapshot()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if path:
+        with open(path, "w") as fh:
+            json.dump({"metrics": registry.snapshot()}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    if enforce_slos:
+        assert_slos(result.slo_statuses)
+    return result
 
 
 def format_serve_bench(result: ServeBenchResult) -> str:
@@ -361,49 +358,31 @@ def format_serve_bench(result: ServeBenchResult) -> str:
 # ----------------------------------------------------------------------
 # Sharded closed-loop bench (``repro-tmn serve-bench --shards N``).
 # ----------------------------------------------------------------------
-@dataclass
-class ShardBenchResult:
+@dataclass(kw_only=True)
+class ShardBenchResult(_BenchResult):
     """Outcome of one sharded serve-bench run (all times in seconds).
 
-    ``single_seconds`` is the control arm: the *same* shard graphs and
-    the same scatter-gather merge driven by ``workers`` threads inside
-    one interpreter — so the sharded/single ratio isolates exactly what
-    the process pool changes (GIL vs IPC), with total search work held
-    equal.  ``agreement`` is the fraction of sampled queries whose
-    process-pool answer is identical to the in-process answer;
-    ``recall_at_k`` scores the merged answers against an exact brute
-    force over the coordinator's retained embedding blocks.
+    ``single_seconds`` is the control arm (the same shard graphs and
+    merge on ``workers`` threads in one interpreter), so sharded/single
+    isolates what the process pool changes.  ``agreement`` is the share
+    of sampled queries answered identically by both arms;
+    ``recall_at_k`` scores merged answers against brute force over the
+    retained embedding blocks.
     """
 
-    n_db: int
-    n_queries: int
     shards: int
-    workers: int
     k: int
     build_seconds: float
     sharded_seconds: float
     single_seconds: float
-    completed: int
-    dropped: int
-    degraded: int
-    latency_p50: float
-    latency_p99: float
     recall_at_k: float
     agreement: float
     checked: int
     cpu_count: int
-    slo_statuses: List[SLOStatus] = field(default_factory=list)
-    bytes_per_trajectory: float = 0.0
-    peak_rss_bytes: float = 0.0
     #: Per-shard time attribution aggregated over the run's stitched
     #: traces: mean coordinator wait vs worker-side ipc/search time plus
     #: dead/deadline counts, keyed by shard id (empty with tracing off).
     shard_attribution: Dict[int, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def slo_ok(self) -> bool:
-        """Whether every evaluated SLO held over this run's traces."""
-        return all(s.ok for s in self.slo_statuses)
 
     @property
     def sharded_qps(self) -> float:
@@ -423,27 +402,17 @@ class ShardBenchResult:
     def to_dict(self) -> Dict[str, float]:
         """Flat JSON-ready summary (what the bench JSON records)."""
         return {
-            "n_db": float(self.n_db),
-            "n_queries": float(self.n_queries),
-            "workers": float(self.workers),
+            **super().to_dict(),
             "shards": float(self.shards),
             "k": float(self.k),
             "sharded_qps": self.sharded_qps,
             "single_qps": self.single_qps,
             "speedup": self.speedup,
             "build_seconds": self.build_seconds,
-            "completed": float(self.completed),
-            "dropped": float(self.dropped),
-            "degraded": float(self.degraded),
-            "latency_p50": self.latency_p50,
-            "latency_p99": self.latency_p99,
             "recall_at_k": self.recall_at_k,
             "agreement": self.agreement,
             "checked": float(self.checked),
             "cpu_count": float(self.cpu_count),
-            "slo_failures": float(sum(1 for s in self.slo_statuses if not s.ok)),
-            "bytes_per_trajectory": self.bytes_per_trajectory,
-            "peak_rss_bytes": self.peak_rss_bytes,
         }
 
 
@@ -479,18 +448,10 @@ def _shard_attribution(traces) -> Dict[int, Dict[str, float]]:
     """
     acc: Dict[int, Dict[str, float]] = {}
 
+    fields = ("gathers", "wait_s", "ipc_s", "search_s", "dead", "deadline")
+
     def row(shard: int) -> Dict[str, float]:
-        return acc.setdefault(
-            int(shard),
-            {
-                "gathers": 0.0,
-                "wait_s": 0.0,
-                "ipc_s": 0.0,
-                "search_s": 0.0,
-                "dead": 0.0,
-                "deadline": 0.0,
-            },
-        )
+        return acc.setdefault(int(shard), dict.fromkeys(fields, 0.0))
 
     for trace in traces:
         for event in trace.events:
@@ -569,13 +530,17 @@ def _drive_closed_loop(
     return time.perf_counter() - start, results
 
 
-def _latency_percentiles(results: Sequence[Optional[ServeResult]]) -> "tuple[float, float]":
-    """(p50, p99) of ``seconds`` over the answered queries; zeros if none."""
-    latencies = sorted(r.seconds for r in results if r is not None)
-    if not latencies:
-        return 0.0, 0.0
-    p99 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
-    return latencies[len(latencies) // 2], p99
+def _tally(results: Sequence[Optional[ServeResult]]) -> Dict[str, float]:
+    """Health and latency fields of a closed-loop run (None = dropped)."""
+    answered = [r for r in results if r is not None]
+    latencies = sorted(r.seconds for r in answered) or [0.0]
+    return {
+        "completed": len(answered),
+        "dropped": len(results) - len(answered),
+        "degraded": sum(1 for r in answered if r.degraded),
+        "latency_p50": latencies[len(latencies) // 2],
+        "latency_p99": latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))],
+    }
 
 
 def run_shard_bench(
@@ -608,10 +573,11 @@ def run_shard_bench(
     random-walk trajectories (workers insert their shards in parallel);
     (2) drive ``n_queries`` distinct queries from ``workers`` threads
     through the process pool; (3) dump every shard's graph, rebuild it
-    in-process and drive the *same* queries through the same
-    scatter-gather merge on ``workers`` threads inside this interpreter —
-    the single-process control arm, identical data structures and total
-    search work, zero IPC.
+    in process as a :class:`~repro.serve.engine.LocalShard` and drive the
+    *same* queries through the same merge on ``workers`` threads inside
+    this interpreter (the workers idle meanwhile) — the single-process
+    control arm, identical data structures and total search work, zero
+    IPC.
 
     Correctness riders on every run: for ``check_sample`` queries the
     process-pool answer must agree with the in-process answer (same
@@ -631,7 +597,8 @@ def run_shard_bench(
     time-attribution table aggregated from the stitched traces.
     """
     from ..index.hnsw import HNSWIndex
-    from .shard import FeatureEncoder, ShardedSimilarityServer, _shard_search, merge_topk
+    from .engine import LocalShard, merge_topk
+    from .shard import FeatureEncoder, ShardedSimilarityServer
 
     rng = np.random.default_rng(seed)
     corpus = _make_walks(n_db + n_queries, rng)
@@ -647,19 +614,11 @@ def run_shard_bench(
     )
 
     server = ShardedSimilarityServer(
-        encoder,
-        dim=dim,
-        n_shards=shards,
-        strategy=strategy,
-        shard_deadline_s=shard_deadline_s,
-        cache_capacity=max(4 * n_queries, 1024),
-        max_batch_size=batch_size,
-        max_wait_ms=max_wait_ms,
-        m=m,
-        ef_construction=ef_construction,
-        ef_search=ef_search,
-        brute_threshold=brute_threshold,
-        seed=seed,
+        encoder, dim=dim, n_shards=shards, strategy=strategy,
+        shard_deadline_s=shard_deadline_s, cache_capacity=max(4 * n_queries, 1024),
+        max_batch_size=batch_size, max_wait_ms=max_wait_ms, m=m,
+        ef_construction=ef_construction, ef_search=ef_search,
+        brute_threshold=brute_threshold, seed=seed,
     )
     switch_before = sys.getswitchinterval()
     sys.setswitchinterval(0.02)
@@ -674,10 +633,6 @@ def run_shard_bench(
         sharded_seconds, results = _drive_closed_loop(
             lambda i: server.topk(queries[i], k=k), n_queries, workers
         )
-        completed = sum(1 for r in results if r is not None)
-        dropped = n_queries - completed
-        degraded = sum(1 for r in results if r is not None and r.degraded)
-        latency_p50, latency_p99 = _latency_percentiles(results)
         # Per-shard time attribution from the stitched traces, while the
         # sharded phase's traces are still the newest in the ring.
         shard_attribution = _shard_attribution(
@@ -691,25 +646,28 @@ def run_shard_bench(
         # reassembled into gid order — brute force over them is the ground
         # truth the merged answers are scored against.
         emb_by_gid = np.zeros((n_db, dim))
-        for shard in range(shards):
-            block, gids = server._shard_block(shard)
-            if len(gids):
-                emb_by_gid[gids] = block
-        # In-process replicas of every shard graph (also the control arm).
-        dumps = [server.dump_shard(i) for i in range(shards)]
-        inline = [
-            (HNSWIndex.from_state(d["state"]), np.asarray(d["gids"], dtype=int))
-            for d in dumps
-        ]
+        for handle in server._handles:
+            block, gids = handle.block()
+            emb_by_gid[gids] = block
+        # In-process replicas of every shard graph (also the control arm),
+        # searched as their workers search them.
         spec = server._spec
+        replicas = []
+        for i in range(shards):
+            dump = server.dump_shard(i)
+            replicas.append(
+                LocalShard(
+                    HNSWIndex.from_state(dump["state"]),
+                    dump["gids"],
+                    ef_search=spec.ef_search,
+                    brute_threshold=spec.brute_threshold,
+                )
+            )
 
         def inline_topk(embedding: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
             """The coordinator merge over in-process shard replicas."""
-            parts = [
-                _shard_search(index, gids, embedding, k, spec)
-                for index, gids in inline
-            ]
-            sq, gid = merge_topk(parts, min(k, n_db))
+            answers = [replica.search(embedding, k) for replica in replicas]
+            sq, gid = merge_topk([(a.sq, a.gids) for a in answers], min(k, n_db))
             # Squared L2 values are nonnegative by construction.
             return np.sqrt(sq), gid  # lint: allow(N002)
 
@@ -732,29 +690,8 @@ def run_shard_bench(
             sq = ((emb_by_gid - cached[None, :]) ** 2).sum(axis=1)
             exact = np.argsort(sq, kind="stable")[: min(k, n_db)]
             recall_total += len(set(result.ids) & set(exact)) / max(len(exact), 1)
-        agreement = agree / checked if checked else 0.0
-        recall_at_k = recall_total / checked if checked else 0.0
 
-        # --- memory + SLOs over the sharded phase --------------------------
-        memory = server.memory_stats(registry=registry)
-        if slos is None:
-            slos = (
-                tuple(DEFAULT_SERVE_SLOS)
-                + tuple(DEFAULT_SHARD_SLOS)
-                + tuple(DEFAULT_MEMORY_SLOS)
-            )
-        slo_statuses = check_slos(
-            slos,
-            tracer=tracer,
-            window=n_queries,
-            totals={"requests": float(n_queries), "dropped": float(dropped)},
-            strict=False,
-            registry=registry,
-        )
-
-        # --- single-interpreter control arm --------------------------------
-        server.close()  # workers down first: the control arm must own the box
-
+        # --- single-interpreter control arm (workers idle) ------------------
         def single_serve(i: int) -> object:
             embedding = np.asarray(encoder([queries[i]]), dtype=np.float64)[0]
             return inline_topk(embedding)
@@ -775,26 +712,20 @@ def run_shard_bench(
             build_seconds=build_seconds,
             sharded_seconds=sharded_seconds,
             single_seconds=single_seconds,
-            completed=completed,
-            dropped=dropped,
-            degraded=degraded,
-            latency_p50=latency_p50,
-            latency_p99=latency_p99,
-            recall_at_k=recall_at_k,
-            agreement=agreement,
+            recall_at_k=recall_total / checked if checked else 0.0,
+            agreement=agree / checked if checked else 0.0,
             checked=checked,
             cpu_count=cpu_count,
-            slo_statuses=list(slo_statuses),
-            bytes_per_trajectory=float(memory["bytes_per_trajectory"]),
-            peak_rss_bytes=float(memory["peak_rss_bytes"]),
             shard_attribution=shard_attribution,
+            **_tally(results),
         )
-        # Persist the registry snapshot BEFORE enforcing SLOs: a breach
-        # must not cost us the measurements that explain it.
-        _export_metrics(metrics_out, registry)
-        if enforce_slos:
-            assert_slos(slo_statuses)
-        return result
+        if slos is None:
+            slos = (
+                tuple(DEFAULT_SERVE_SLOS)
+                + tuple(DEFAULT_SHARD_SLOS)
+                + tuple(DEFAULT_MEMORY_SLOS)
+            )
+        return _finish(result, server, slos, tracer, registry, metrics_out, enforce_slos)
     finally:
         sys.setswitchinterval(switch_before)
         tracer.set_enabled(tracing_before)

@@ -1,42 +1,28 @@
-"""Sharded multi-process serving: scatter-gather top-k over worker-owned shards.
+"""Worker-process shards: the scale-out case of the serving coordinator.
 
-:class:`~repro.serve.engine.SimilarityServer` tops out at the GIL — every
-batched forward and every HNSW beam search shares one interpreter, so
-thread count stops buying throughput (ROADMAP open item 1).  This module
-breaks that ceiling with a process pool:
+:class:`~repro.serve.engine.SimilarityServer` runs in one interpreter,
+so every batched forward and every HNSW beam search shares one GIL.
+:class:`ShardedSimilarityServer` is the same coordinator over N
+:class:`ProcessShard` s.  Each is a spawned worker running a one-shard
+``SimilarityServer`` over its slice of the store (own encoder replica,
+batcher and :class:`~repro.serve.engine.LocalShard`), with:
 
-- **N worker processes**, each owning one :class:`~repro.index.hnsw.HNSWIndex`
-  shard, its own encoder replica and its own
-  :class:`~repro.serve.batcher.MicroBatcher`.  Stored trajectories are
-  assigned to shards round-robin by database id (or by content hash, the
-  same SHA-1 the :class:`~repro.serve.cache.EmbeddingCache` keys on).
-- **Shared-memory handoff**: query payloads (trajectory points and query
-  embeddings — the float64 buffers the cache already content-hashes) are
-  written into a per-worker :class:`_ShmSlab` slot and referenced by slot
-  index in the request message, so the hot path never pickles a large
-  array.  Slots are recycled only after the worker's response arrives,
-  which makes the handoff bit-exact by construction (tests assert this).
-- **Scatter-gather merge**: the coordinator fans a query embedding out to
-  every live shard, gathers per-shard top-k under a per-shard deadline
-  and merges with :func:`merge_topk` — exact, with the same tie order as
-  a single stable-argsort over one global index.
+- **shared-memory handoff** — query payloads are written into a
+  per-worker :class:`_ShmSlab` slot and referenced by index in the
+  request, so the hot path never pickles a large array; a slot is
+  recycled only once its response arrived, which makes the handoff
+  bit-exact by construction;
+- **one dispatch method** — :meth:`ProcessShard.request` takes
+  ``trace_ctx`` as a required keyword, so no search or encode can leave
+  without its cross-process trace context;
+- **a retained fallback block** — the coordinator keeps each slice's
+  embeddings and scans them exactly (the in-process brute path) when the
+  worker is dead, past the gather deadline or erroring.
 
-Degradation contract (the same never-raises promise as the single-process
-engine, statically verified by the E001 pass):
-
-- a shard that is dead, hung past its deadline, or erroring is covered by
-  an exact brute-force scan over the coordinator's retained copy of that
-  shard's embedding block — the answer is *degraded-but-exact in
-  embedding space* (``degraded=True``, coverage intact);
-- if encoding itself fails everywhere, the true-metric fallback scans the
-  coordinator's retained trajectories (identical to the single-process
-  degraded path);
-- anything unexpected lands in a literal-only empty result, the one
-  construction the exception model proves cannot raise.
-
-Ownership rules for shared memory: the **coordinator** creates, names and
-unlinks every segment (``close()`` is the single cleanup point); workers
-attach read-only and immediately deregister from their resource tracker
+Stored trajectories go to shards round-robin by database id, or by the
+content hash the embedding cache keys on.  The coordinator creates,
+names and unlinks every shared-memory segment (``close()`` is the one
+cleanup point); workers attach without resource-tracker registration,
 so a worker exit — clean or SIGKILL — can never unlink a live segment.
 """
 
@@ -50,14 +36,13 @@ import time
 import multiprocessing as mp
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..index.hnsw import HNSWIndex
-from ..metrics import MetricSpec, get_metric
+from ..metrics import MetricSpec
 from ..obs.expo import register_scrape_hook, unregister_scrape_hook
 from ..obs.lockstats import new_lock
 from ..obs.log import get_logger
@@ -66,21 +51,29 @@ from ..obs.trace import (
     ROOT,
     TraceContext,
     begin_remote,
+    capture_context,
+    current_trace,
     export_subtree,
-    get_tracer,
     graft_subtree,
+    trace_span,
 )
-from .batcher import MicroBatcher
-from .cache import EmbeddingCache, trajectory_key
-from .engine import ServeResult, exact_metric_topk
+from .cache import trajectory_key
+from .engine import (
+    LocalShard,
+    Shard,
+    ShardAnswer,
+    SimilarityServer,
+    _ShardSpec,
+    brute_topk,
+)
 
 __all__ = [
     "SHM_PREFIX",
     "FeatureEncoder",
+    "ProcessShard",
     "ShardDeadError",
     "ShardedSimilarityServer",
     "assign_shard",
-    "merge_topk",
 ]
 
 _LOG = get_logger("repro.serve.shard")
@@ -99,7 +92,7 @@ class ShardDeadError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Pure functions: shard assignment and the scatter-gather merge.
+# Shard assignment.
 # ----------------------------------------------------------------------
 def assign_shard(
     gid: int, n_shards: int, strategy: str = "round-robin", key: Optional[str] = None
@@ -122,30 +115,8 @@ def assign_shard(
     raise ValueError(f"unknown shard strategy {strategy!r}")
 
 
-def merge_topk(
-    parts: Sequence[Tuple[np.ndarray, np.ndarray]], k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge per-shard ``(distances, global_ids)`` lists into a global top-k.
-
-    Each part must hold a shard's *local* top-``min(k, shard size)`` with
-    exact, mutually comparable distance values (the serving path passes
-    squared L2 throughout).  The merge sorts lexicographically by
-    ``(distance, global_id)`` — for exact parts this reproduces a single
-    stable argsort over the union, so ties at the k-boundary resolve to
-    the lowest global id exactly as a one-index brute force would.
-    """
-    kept = [(d, g) for d, g in parts if len(g)]
-    if not kept:
-        return np.zeros(0), np.zeros(0, dtype=int)
-    dists = np.concatenate([np.asarray(d, dtype=np.float64) for d, _ in kept])
-    gids = np.concatenate([np.asarray(g, dtype=int) for _, g in kept])
-    order = np.lexsort((gids, dists))[: max(k, 0)]
-    return dists[order], gids[order]
-
-
 # ----------------------------------------------------------------------
-# A cheap, picklable encoder (workers must be able to rebuild their
-# encoder in a spawned interpreter; benches and tests use this one).
+# A cheap encoder that pickles across spawn (benches and tests use it).
 # ----------------------------------------------------------------------
 class FeatureEncoder:
     """Deterministic geometric-feature encoder, picklable across spawn.
@@ -252,17 +223,13 @@ class _ShmSlab:
 def _attach_slab(name: str) -> shared_memory.SharedMemory:
     """Worker-side attach to the coordinator's slab, without tracking.
 
-    A plain attach registers the segment with the resource tracker,
-    which creates the classic double-owner hazard: the tracker would
-    unlink a segment the coordinator still owns, and (because spawned
-    workers share the coordinator's tracker process) the worker-side
-    registration collides with the coordinator's own.  The coordinator
-    is the sole owner, so registration is suppressed for the duration of
-    the attach — the 3.11-compatible equivalent of Python 3.13's
-    ``SharedMemory(..., track=False)``.  After this, neither a clean
-    worker exit nor a SIGKILL can destroy a live segment, and the
-    coordinator's eventual ``unlink`` stays the one and only
-    deregistration the tracker sees.
+    A plain attach registers the segment with the resource tracker (which
+    spawned workers share with the coordinator), so the tracker could
+    unlink a segment the coordinator still owns.  Registration is
+    suppressed for the attach — the 3.11 form of Python 3.13's
+    ``SharedMemory(..., track=False)`` — so neither a clean worker exit
+    nor a SIGKILL can destroy a live segment, and the coordinator's
+    ``unlink`` is the only deregistration the tracker sees.
     """
     from multiprocessing import resource_tracker
 
@@ -293,100 +260,32 @@ def _read_slot(
 # ----------------------------------------------------------------------
 # Worker process.
 # ----------------------------------------------------------------------
-@dataclass
-class _ShardSpec:
-    """Everything a spawned worker needs to rebuild its serving stack.
-
-    ``encoder`` must be picklable (e.g. :class:`FeatureEncoder`, or any
-    model object whose state pickles) — it is rebuilt inside the worker
-    interpreter, never shared.
-    """
-
-    encoder: object
-    dim: int
-    m: int = 8
-    ef_construction: int = 64
-    ef_search: Optional[int] = None
-    brute_threshold: int = 64
-    max_batch_size: int = 32
-    max_wait_ms: float = 2.0
-    idle_grace_ms: float = 0.5
-    seed: int = 0
-
-
-def _encode_block(encode_fn: Callable, trajs: Sequence, dim: int) -> np.ndarray:
-    """One validated float64 encode of ``trajs`` -> ``(B, dim)``."""
-    out = np.asarray(encode_fn(trajs), dtype=np.float64)
-    if out.ndim != 2 or out.shape != (len(trajs), dim):
-        raise ValueError(f"encoder returned {out.shape}, expected ({len(trajs)}, {dim})")
-    return out
-
-
-def _resolve_encoder(encoder: object) -> Callable:
-    """The encode callable behind ``encoder`` (model-or-callable duality)."""
-    if hasattr(encoder, "encode"):
-        return encoder.encode
-    if callable(encoder):
-        return encoder
-    raise TypeError("shard encoder must be callable or expose .encode()")
-
-
 def _shard_search(
     index: HNSWIndex, gids: np.ndarray, embedding: np.ndarray, k: int, spec: _ShardSpec
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """This shard's local top-k as ``(squared L2, global ids)``.
-
-    Mirrors the single-process engine's answer policy — brute force below
-    ``brute_threshold`` (exact; stable argsort so ties resolve to the
-    lowest local insertion order, i.e. the lowest global id within the
-    shard) and graph search above it.  Distances stay *squared* on the
-    wire: the coordinator merges on squared values and applies the square
-    root once, exactly like the engine's brute path.
-    """
-    n = len(index)
-    if n == 0:
-        return np.zeros(0), np.zeros(0, dtype=int)
-    k_eff = min(k, n)
-    if n <= spec.brute_threshold or k_eff > n // 2:
-        diffs = np.asarray(index.vectors[:n]) - embedding[None, :]
-        sq = (diffs**2).sum(axis=1)
-        order = np.argsort(sq, kind="stable")[:k_eff]
-        return sq[order], gids[order]
-    dists, ids = index.query(embedding, k=k_eff, ef=spec.ef_search)
-    # The graph path returns root distances; square back for the uniform
-    # squared-L2 wire contract (approximate path, wobble is acceptable).
-    return dists**2, gids[ids]
+    """Local top-k ``(squared L2, gids)`` of a rebuilt replica, searched as its worker does."""
+    shard = LocalShard(
+        index, gids, ef_search=spec.ef_search, brute_threshold=spec.brute_threshold
+    )
+    answer = shard.search(embedding, k)
+    return answer.sq, answer.gids
 
 
 def _shard_worker_main(
-    spec: _ShardSpec,
-    shard_idx: int,
-    slab_name: str,
-    slot_bytes: int,
-    request_q,
-    response_q,
+    spec: _ShardSpec, shard_idx: int, slab_name: str, slot_bytes: int, request_q, response_q
 ) -> None:
     """Entry point of one shard worker process.
 
-    Owns an encoder replica, an HNSW shard, a local->global id map and a
-    :class:`MicroBatcher`; serves commands off ``request_q`` until the
+    Runs a one-shard :class:`~repro.serve.engine.SimilarityServer` over
+    this worker's slice (its local shard's nodes carry the global ids the
+    coordinator assigned) and serves commands off ``request_q`` until the
     shutdown sentinel.  Every per-message fault is answered as an
     ``error`` payload — the loop itself must survive anything a single
     request throws, or the whole shard dies with it.
     """
-    encode_fn = _resolve_encoder(spec.encoder)
-    index = HNSWIndex(
-        spec.dim, m=spec.m, ef_construction=spec.ef_construction,
-        seed=spec.seed + shard_idx,
-    )
-    gids: List[int] = []
-    batcher = MicroBatcher(
-        lambda trajs: _encode_block(encode_fn, trajs, spec.dim),
-        max_batch_size=spec.max_batch_size,
-        max_wait_ms=spec.max_wait_ms,
-        idle_grace_ms=spec.idle_grace_ms,
-        name=f"serve.shard{shard_idx}",
-    )
+    policy = {k: v for k, v in vars(spec).items() if k not in ("encoder", "dim")}
+    policy["seed"] += shard_idx
+    server = SimilarityServer(spec.encoder, spec.dim, **policy)
     shm = _attach_slab(slab_name)
     hooks: Dict[str, float] = {}
     try:
@@ -398,10 +297,7 @@ def _shard_worker_main(
             if msg is None or msg.get("cmd") == "shutdown":
                 break
             try:
-                _handle_worker_msg(
-                    msg, spec, encode_fn, index, gids, batcher, shm,
-                    slot_bytes, hooks, response_q,
-                )
+                _handle_worker_msg(msg, server, shm, slot_bytes, hooks, response_q)
             except Exception as exc:
                 # Per-message fault isolation: the requester gets the
                 # error, the worker lives on for every other request.
@@ -416,7 +312,7 @@ def _shard_worker_main(
                      "error": f"{type(exc).__name__}: {exc}"}
                 )
     finally:
-        batcher.close()
+        server.close()
         shm.close()
 
 
@@ -429,51 +325,34 @@ def _worker_payload(
     return np.asarray(msg["data"], dtype=np.float64)
 
 
-def _request_context(msg: dict) -> Optional[TraceContext]:
-    """The cross-process trace context a request carried, if any.
+def _remote_trace(msg: dict, name: str, received: float):
+    """The request's ``(trace context, worker subtree)``, IPC wait stamped.
 
-    Every dispatch site ships a ``trace_ctx`` key (R010 enforces this);
-    it is None when the coordinator was not tracing, in which case the
-    worker's subtree machinery collapses to no-ops.
+    The context is None when the coordinator was not tracing; the subtree
+    is then the inert null trace.  ``ipc-wait`` runs from the
+    coordinator's ``sent_at`` stamp (mapped into this process's clock via
+    ``clock_offset``) to the worker picking the message up — distinct
+    from the batcher queue-wait the handoff records on the encode path.
     """
     wire = msg.get("trace_ctx")
-    return TraceContext.from_wire(wire) if wire else None
-
-
-def _record_ipc_wait(rtrace, ctx: Optional[TraceContext], msg: dict, received: float) -> None:
-    """Stamp the request's IPC queue wait onto the worker subtree.
-
-    The interval between the coordinator's ``sent_at`` stamp (mapped
-    into this process's clock via the context's ``clock_offset``) and
-    the worker picking the message up — distinct from the *batcher*
-    queue-wait the Handoff machinery records on the encode path.
-    """
-    if ctx is None:
-        return
-    sent_local = msg.get("sent_at", received) - ctx.clock_offset
-    rtrace.record_span("ipc-wait", min(sent_local, received), received, parent_id=ROOT)
+    ctx = TraceContext.from_wire(wire) if wire else None
+    rtrace = begin_remote(ctx, name=name)
+    if ctx is not None:
+        sent_local = msg.get("sent_at", received) - ctx.clock_offset
+        rtrace.record_span("ipc-wait", min(sent_local, received), received, parent_id=ROOT)
+    return ctx, rtrace
 
 
 def _handle_worker_msg(
-    msg: dict,
-    spec: _ShardSpec,
-    encode_fn: Callable,
-    index: HNSWIndex,
-    gids: List[int],
-    batcher: MicroBatcher,
-    shm: shared_memory.SharedMemory,
-    slot_bytes: int,
-    hooks: Dict[str, float],
-    response_q,
+    msg: dict, server: SimilarityServer, shm: shared_memory.SharedMemory,
+    slot_bytes: int, hooks: Dict[str, float], response_q,
 ) -> None:
     """Dispatch one coordinator command inside the worker process."""
     cmd = msg["cmd"]
     seq = msg["seq"]
     received = time.perf_counter()
     if cmd == "search":
-        ctx = _request_context(msg)
-        rtrace = begin_remote(ctx, name="shard.search")
-        _record_ipc_wait(rtrace, ctx, msg, received)
+        ctx, rtrace = _remote_trace(msg, "shard.search", received)
         with rtrace.handoff().resume(wait_name=None):
             with rtrace.span("slab-read"):
                 embedding = _worker_payload(msg, shm, slot_bytes)
@@ -483,15 +362,13 @@ def _handle_worker_msg(
             with rtrace.span("search") as search_span:
                 if hooks.get("search_delay_s"):
                     time.sleep(hooks["search_delay_s"])
-                sq, found = _shard_search(
-                    index, np.asarray(gids, dtype=int), embedding, msg["k"], spec
-                )
-                search_span.set(n=len(index))
+                answer = server._local.search(embedding, msg["k"])
+                search_span.set(n=len(server.index))
         resp = {
             "seq": seq,
-            "dists": sq,
-            "gids": found,
-            "n": len(index),
+            "dists": answer.sq,
+            "gids": answer.gids,
+            "n": len(server.index),
             "search_s": time.perf_counter() - start,
             # perf_counter is CLOCK_MONOTONIC, shared across processes
             # on Linux: queue wait as seen from the worker side.
@@ -501,9 +378,7 @@ def _handle_worker_msg(
             resp["trace"] = export_subtree(rtrace)
         response_q.put(resp)
     elif cmd == "encode":
-        ctx = _request_context(msg)
-        rtrace = begin_remote(ctx, name="shard.encode")
-        _record_ipc_wait(rtrace, ctx, msg, received)
+        ctx, rtrace = _remote_trace(msg, "shard.encode", received)
         if hooks.get("encode_delay_s"):
             time.sleep(hooks["encode_delay_s"])
         # Binding the subtree current across submit() makes the batcher
@@ -512,7 +387,7 @@ def _handle_worker_msg(
         with rtrace.handoff().resume(wait_name=None):
             with rtrace.span("slab-read"):
                 traj = _worker_payload(msg, shm, slot_bytes)
-            future = batcher.submit(traj)
+            future = server.batcher.submit(traj)
 
         def _deliver(done: Future, seq: int = seq, t0: float = received) -> None:
             """Post the batched-encode outcome back on the response queue.
@@ -521,19 +396,14 @@ def _handle_worker_msg(
             and forward spans, so the exported subtree is complete.
             """
             try:
-                embedding = done.result()
+                resp = {
+                    "seq": seq,
+                    "embedding": np.asarray(done.result(), dtype=np.float64),
+                    "worker_s": time.perf_counter() - t0,
+                }
             except BaseException as exc:  # lint: allow(E002) callback boundary
                 _LOG.warning("shard-encode-failed", error=type(exc).__name__)
                 resp = {"seq": seq, "error": f"{type(exc).__name__}: {exc}"}
-                if ctx is not None:
-                    resp["trace"] = export_subtree(rtrace)
-                response_q.put(resp)
-                return
-            resp = {
-                "seq": seq,
-                "embedding": np.asarray(embedding, dtype=np.float64),
-                "worker_s": time.perf_counter() - t0,
-            }
             if ctx is not None:
                 resp["trace"] = export_subtree(rtrace)
             response_q.put(resp)
@@ -541,39 +411,32 @@ def _handle_worker_msg(
         future.add_done_callback(_deliver)
     elif cmd == "add_batch":
         # Build-path insert: synchronous chunked encodes (bypassing the
-        # batcher, like the single-process engine's add_batch) and HNSW
-        # inserts; the response returns the embeddings so the coordinator
-        # can retain this shard's block for exact fallback scans.
+        # batcher, like the in-process add_batch) and inserts under the
+        # coordinator's gids; the response returns the embeddings so the
+        # coordinator can retain this shard's block for fallback scans.
         trajs = [np.asarray(t, dtype=np.float64) for t in msg["trajs"]]
-        parts: List[np.ndarray] = []
-        chunk = max(spec.max_batch_size, 1)
-        for lo in range(0, len(trajs), chunk):
-            parts.append(_encode_block(encode_fn, trajs[lo : lo + chunk], spec.dim))
+        chunk = max(server.batcher.max_batch_size, 1)
+        parts = [
+            server._encode_batch(trajs[lo : lo + chunk])
+            for lo in range(0, len(trajs), chunk)
+        ]
         embeddings = (
-            np.concatenate(parts, axis=0) if parts else np.zeros((0, spec.dim))
+            np.concatenate(parts, axis=0) if parts else np.zeros((0, server.dim))
         )
         for gid, embedding in zip(msg["gids"], embeddings):
-            index.add(embedding)
-            gids.append(int(gid))
+            server._local.add(int(gid), embedding)
         response_q.put({"seq": seq, "embeddings": embeddings})
     elif cmd == "echo":
         payload = _worker_payload(msg, shm, slot_bytes)
-        response_q.put(
-            {"seq": seq, "digest": trajectory_key(payload), "data": payload}
-        )
+        response_q.put({"seq": seq, "digest": trajectory_key(payload), "data": payload})
     elif cmd == "stats":
-        response_q.put(
-            {
-                "seq": seq,
-                "pid": os.getpid(),
-                "size": len(index),
-                "index_bytes": index.nbytes,
-                "snapshot": get_registry().snapshot(),
-            }
-        )
+        response_q.put({
+            "seq": seq, "pid": os.getpid(), "size": len(server.index),
+            "index_bytes": server.index.nbytes, "snapshot": get_registry().snapshot(),
+        })
     elif cmd == "dump":
-        response_q.put({"seq": seq, "state": index.state_dict(),
-                        "gids": np.asarray(gids, dtype=int)})
+        response_q.put({"seq": seq, "state": server.index.state_dict(),
+                        "gids": server._local.gids})
     elif cmd == "debug":
         hooks.update(msg.get("hooks", {}))
         response_q.put({"seq": seq, "hooks": dict(hooks)})
@@ -584,20 +447,24 @@ def _handle_worker_msg(
 # ----------------------------------------------------------------------
 # Coordinator side.
 # ----------------------------------------------------------------------
-class _ShardHandle:
-    """Coordinator-side handle to one worker: queues, slab, pending map.
+class ProcessShard(Shard):
+    """One worker process as a shard: queues, slab, pending map, retained block.
 
-    A dispatcher thread routes response payloads (by ``seq``) into the
-    futures request() handed out, releasing the payload's slab slot at
-    that moment — the only point the worker is provably done reading it.
-    Death is detected either here (queue idle while the process is gone)
-    or by a gather timeout; ``mark_dead`` is idempotent, fails every
-    pending future with :class:`ShardDeadError` and counts the shard in
-    ``serve.shard.dead`` exactly once.
+    A router thread delivers responses (by ``seq``) to the futures
+    :meth:`request` handed out, releasing the payload's slab slot then —
+    the only point the worker is provably done reading it.  Death is seen
+    there (queue idle, process gone) or by a gather timeout;
+    ``mark_dead`` fails every pending future with :class:`ShardDeadError`
+    and counts ``serve.shard.dead`` exactly once.  A search the worker
+    cannot answer is covered by :meth:`fallback_topk` over the retained
+    embeddings.
     """
+
+    source = "sharded"
 
     def __init__(self, idx: int, ctx, spec: _ShardSpec, slots: int, slot_bytes: int):
         self.idx = idx
+        self.dim = spec.dim
         self.slab = _ShmSlab(slots, slot_bytes)
         self.request_q = ctx.Queue()
         self.response_q = ctx.Queue()
@@ -607,6 +474,12 @@ class _ShardHandle:
         #: seq -> (future, slot or None); guarded by _plock.
         self._pending: Dict[int, Tuple[Future, Optional[int]]] = {}
         self._plock = new_lock(f"serve.shard{idx}.pending")
+        #: Retained copy of this slice: gids and embedding blocks in insert
+        #: order, stacked once per change by :meth:`block`.
+        self._block_gids: List[int] = []
+        self._blocks: List[np.ndarray] = []
+        self._stacked: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._block_lock = new_lock(f"serve.shard{idx}.block")
         self.process = ctx.Process(
             target=_shard_worker_main,
             args=(spec, idx, self.slab.name, slot_bytes, self.request_q, self.response_q),
@@ -614,47 +487,227 @@ class _ShardHandle:
             name=f"repro-shard-{idx}",
         )
         self.process.start()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch, name=f"shard{idx}-dispatch", daemon=True
+        self._router = threading.Thread(
+            target=self._route, name=f"shard{idx}-router", daemon=True
         )
-        self._dispatcher.start()
+        self._router.start()
+
+    @property
+    def live(self) -> bool:
+        """False once the worker was declared dead."""
+        with self._plock:
+            return not self.dead
 
     # ------------------------------------------------------------------
-    def request(self, msg: dict, slot: Optional[int] = None) -> Future:
-        """Send one command; the future resolves to the response payload."""
+    def request(
+        self, cmd: str, payload: Optional[np.ndarray] = None, *,
+        trace_ctx: Optional[TraceContext], **fields,
+    ) -> Future:
+        """Send one command; the future resolves to the worker's response.
+
+        The only way to reach the worker.  ``trace_ctx`` is required (None
+        when untraced), so no search or encode can sever its trace.  A
+        float64 ``payload`` rides the shared slab, or is pickled inline
+        when the slab is full or the payload outgrows a slot (counted,
+        never fatal: only speed depends on shared memory).
+        """
+        wire = trace_ctx.to_wire() if trace_ctx is not None else None
+        msg = dict(fields, cmd=cmd, trace_ctx=wire)
+        slot = None
+        if payload is not None:
+            slot = self.slab.acquire()
+            if slot is not None:
+                try:
+                    msg["shape"] = self.slab.write(slot, payload)
+                    msg["slot"] = slot
+                except ValueError:
+                    self.slab.release(slot)
+                    slot = None
+            if slot is None:
+                get_registry().counter("serve.shard.slab_overflow").inc()
+                msg["data"] = np.asarray(payload, dtype=np.float64)
         seq = next(self._seq)
         future: Future = Future()
         with self._plock:
-            if self.dead:
-                raise ShardDeadError(f"shard {self.idx} is dead")
-            self._pending[seq] = (future, slot)
-        msg = dict(msg, seq=seq, sent_at=time.perf_counter())
-        self.request_q.put(msg)
+            dead = self.dead
+            if not dead:
+                self._pending[seq] = (future, slot)
+        if dead:
+            if slot is not None:
+                self.slab.release(slot)
+            raise ShardDeadError(f"shard {self.idx} is dead")
+        msg.update(seq=seq, sent_at=time.perf_counter())
+        try:
+            self.request_q.put(msg)
+        except Exception:
+            self._resolve({"seq": seq})  # forget the request, free its slot
+            raise
         get_registry().counter("serve.shard.requests").inc()
         return future
 
-    def send_payload(self, msg: dict, array: np.ndarray) -> Future:
-        """Send a command whose float64 payload rides the shared slab.
+    # ------------------------------------------------------------------
+    def encode(self, points: np.ndarray, timeout: Optional[float]) -> np.ndarray:
+        """Query embedding from this worker's batcher; raises on failure or timeout.
 
-        Falls back to inline pickling when the slab is exhausted or the
-        payload outgrows a slot (counted, never fatal): correctness never
-        depends on shared memory, only the hot path's speed does.
+        Recorded as an ``encode`` span with the worker's subtree grafted
+        beneath it.
         """
-        slot = self.slab.acquire()
-        if slot is not None:
+        with trace_span("encode") as span:
+            span.set(shard=self.idx)
+            ctx = capture_context()
             try:
-                shape = self.slab.write(slot, array)
-            except ValueError:
-                self.slab.release(slot)
-                slot = None
-            else:
-                return self.request(dict(msg, slot=slot, shape=shape), slot=slot)
-        get_registry().counter("serve.shard.slab_overflow").inc()
-        return self.request(dict(msg, data=np.asarray(array, dtype=np.float64)))
+                resp = self.request("encode", points, trace_ctx=ctx).result(timeout=timeout)
+            except Exception as exc:
+                timed_out = isinstance(exc, FutureTimeoutError)
+                span.set(result="timeout" if timed_out else "error", error=type(exc).__name__)
+                if timed_out and not self.process.is_alive():
+                    self.mark_dead("died-before-encode")
+                raise
+            self._graft(current_trace(), span.span_id, resp, ctx)
+            if "error" in resp:
+                span.set(result="error", error=resp["error"])
+                raise RuntimeError(f"shard {self.idx} encode failed: {resp['error']}")
+            span.set(result="ok", worker_s=resp.get("worker_s", 0.0))
+        return np.asarray(resp["embedding"], dtype=np.float64)
+
+    def dispatch(self, embedding: np.ndarray, k: int, trace) -> tuple:
+        """Send the search: ``(future, sent_at, context, miss reason)``."""
+        if not self.live:
+            return None, 0.0, None, "dead"
+        ctx = trace.context()
+        try:
+            future = self.request("search", embedding, trace_ctx=ctx, k=k)
+        except Exception as exc:
+            _LOG.warning("shard-send-failed", shard=self.idx, error=type(exc).__name__)
+            return None, 0.0, None, f"send-failed:{type(exc).__name__}"
+        return future, time.perf_counter(), ctx, None
+
+    def collect(self, call: tuple, deadline: Optional[float], trace) -> ShardAnswer:
+        """Wait for the worker's answer until ``deadline``; a miss names its cause.
+
+        The wait is recorded post hoc as the ``shard-<i>`` span (coordinator
+        clock) with the worker's subtree — ipc-wait, slab-read, search —
+        grafted beneath it.
+        """
+        future, sent, ctx, reason = call
+        if future is None:
+            return self._missed(reason)
+        timeout = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+        name = f"shard-{self.idx}"
+        try:
+            resp = future.result(timeout=timeout)
+        except Exception as exc:
+            now = time.perf_counter()
+            if isinstance(exc, FutureTimeoutError) and self.process.is_alive():
+                # Slow is not dead: the worker rejoins once it drains.
+                get_registry().counter("serve.shard.deadline_missed").inc()
+                trace.record_span(name, sent, now, result="deadline", deadline=True)
+                return self._missed("deadline", now - sent)
+            if isinstance(exc, (FutureTimeoutError, ShardDeadError)):
+                # Died with our request in flight: seen by the timeout, or
+                # the router failed the future.
+                self.mark_dead("died-mid-query")
+                trace.record_span(name, sent, now, result="dead", dead=True)
+                return self._missed("dead", now - sent)
+            _LOG.warning("shard-gather-error", shard=self.idx, error=type(exc).__name__)
+            trace.record_span(name, sent, now, result="error", error=type(exc).__name__)
+            return self._missed(type(exc).__name__, now - sent)
+        now = time.perf_counter()
+        if "error" in resp:
+            span_id = trace.record_span(name, sent, now, result="error", error=resp["error"])
+            self._graft(trace, span_id, resp, ctx)
+            return self._missed("worker-error", now - sent)
+        span_id = trace.record_span(
+            name, sent, now,
+            result="ok", n=resp.get("n", 0),
+            search_s=resp.get("search_s", 0.0),
+            wait_s=resp.get("wait_s", 0.0),
+        )
+        self._graft(trace, span_id, resp, ctx)
+        return ShardAnswer(resp["dists"], resp["gids"], self.source, now - sent)
+
+    def _missed(self, reason: str, wait_s: Optional[float] = None) -> ShardAnswer:
+        """An empty answer the coordinator covers with :meth:`fallback_topk`."""
+        return ShardAnswer(np.zeros(0), np.zeros(0, dtype=int), self.source, wait_s, reason)
+
+    def _graft(self, trace, span_id: int, resp: dict, ctx: Optional[TraceContext]) -> None:
+        """Stitch a worker-returned span subtree under one local span."""
+        if trace is not None and ctx is not None and "trace" in resp:
+            graft_subtree(
+                trace, span_id, resp["trace"],
+                clock_offset=ctx.clock_offset, shard=self.idx,
+            )
 
     # ------------------------------------------------------------------
-    def _dispatch(self) -> None:
-        """Route worker responses to their futures until stop or death."""
+    def retain(self, gids: Sequence[int], embeddings: np.ndarray) -> None:
+        """Keep the embeddings the worker just indexed, for fallback scans."""
+        with self._block_lock:
+            self._block_gids.extend(int(g) for g in gids)
+            self._blocks.append(np.asarray(embeddings, dtype=np.float64))
+            self._stacked = None
+
+    def block(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This shard's retained ``(embeddings, gids)``, in insert order."""
+        with self._block_lock:
+            if self._stacked is None:
+                stacked = (
+                    np.concatenate(self._blocks, axis=0)
+                    if self._blocks else np.zeros((0, self.dim))
+                )
+                self._stacked = (stacked, np.asarray(self._block_gids, dtype=int))
+            return self._stacked
+
+    def fallback_topk(self, embedding: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact scan of the retained block: the worker's brute path, bit for bit.
+
+        Same rows, same arithmetic, same stable tie order, so a degraded
+        merge stays *exact* in embedding space — a dead shard costs
+        latency, not correctness.
+        """
+        block, gids = self.block()
+        return brute_topk(block, gids, embedding, k)
+
+    def stats(self, timeout_s: float = 2.0) -> dict:
+        """Worker pid, size and index bytes; mirrors its registry locally.
+
+        The returned registry snapshot lands under ``serve.shard.<i>.*``
+        gauges — the cross-process metrics handoff ``repro-tmn report``
+        and the bench read.
+        """
+        if not self.live:
+            return {"dead": True}
+        try:
+            resp = self.request("stats", trace_ctx=None).result(timeout=timeout_s)
+        except Exception as exc:
+            _LOG.debug("shard-stats-failed", shard=self.idx, error=type(exc).__name__)
+            return {"dead": not self.live, "error": type(exc).__name__}
+        mirror_snapshot(resp.get("snapshot", {}), f"serve.shard.{self.idx}.", get_registry())
+        return {
+            "dead": False,
+            "pid": resp.get("pid"),
+            "size": resp.get("size", 0),
+            "index_bytes": resp.get("index_bytes", 0),
+        }
+
+    def memory(self, registry) -> Dict[str, int]:
+        """Worker index bytes and resident set, plus the retained block."""
+        from ..obs.memory import rss_bytes
+
+        info = self.stats()
+        rss = rss_bytes(pid=info["pid"]) if info.get("pid") else 0
+        if rss:
+            registry.gauge(f"serve.shard.{self.idx}.rss_bytes").set(rss)
+        with self._block_lock:
+            block_bytes = sum(b.nbytes for b in self._blocks)
+        return {
+            "index_bytes": int(info.get("index_bytes", 0)),
+            "block_bytes": block_bytes,
+            "worker_rss_bytes": rss,
+        }
+
+    # ------------------------------------------------------------------
+    def _route(self) -> None:
+        """Deliver worker responses to their futures until stop or death."""
         while True:
             try:
                 resp = self.response_q.get(timeout=0.2)
@@ -713,8 +766,7 @@ class _ShardHandle:
         get_registry().counter("serve.shard.dead").inc()
         _LOG.warning("shard-dead", shard=self.idx, reason=reason, failed=len(pending))
 
-    # ------------------------------------------------------------------
-    def stop(self, timeout: float = 5.0) -> None:
+    def close(self, timeout: float = 5.0) -> None:
         """Orderly worker shutdown; escalates to kill. Never raises."""
         with self._plock:
             self._stopping = True
@@ -742,17 +794,19 @@ class _ShardHandle:
                 _LOG.debug(
                     "shard-queue-close", shard=self.idx, error=type(exc).__name__
                 )
-        self._dispatcher.join(timeout=timeout)
+        self._router.join(timeout=timeout)
         self.slab.close()
 
 
-class ShardedSimilarityServer:
-    """Process-pool top-k serving: N shard workers, one merging coordinator.
+class ShardedSimilarityServer(SimilarityServer):
+    """The serving coordinator over N worker-process shards.
 
-    The public surface mirrors :class:`~repro.serve.engine.SimilarityServer`
-    (``add`` / ``add_batch`` / ``topk`` / ``stats`` / ``memory_stats`` /
-    ``close``), with the same never-raises ``topk`` contract — see the
-    module docstring for the architecture and degradation tiers.
+    Same surface as :class:`~repro.serve.engine.SimilarityServer`
+    (``add`` / ``add_batch`` / ``topk`` / ``encode`` / ``stats`` /
+    ``memory_stats`` / ``close``) and the same never-raises ``topk``; see
+    the module docstring for the architecture.  Adds what exists only for
+    worker shards: the build path, state dumps, fault hooks, slab echo
+    and fleet telemetry.
 
     Parameters
     ----------
@@ -804,78 +858,40 @@ class ShardedSimilarityServer:
             raise ValueError("n_shards must be >= 1")
         if strategy not in ("round-robin", "hash"):
             raise ValueError(f"unknown shard strategy {strategy!r}")
-        self.dim = dim
         self.n_shards = n_shards
         self.strategy = strategy
-        self.shard_deadline_s = shard_deadline_s
         self.build_timeout_s = build_timeout_s
-        self.degraded_scan_limit = degraded_scan_limit
-        self.cache = EmbeddingCache(capacity=cache_capacity)
-        self.fallback_metric = (
-            fallback_metric
-            if isinstance(fallback_metric, MetricSpec)
-            else get_metric(fallback_metric)
+        self._slab_geometry = (slots, slot_bytes)
+        super().__init__(
+            encoder, dim, cache_capacity=cache_capacity,
+            max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
+            idle_grace_ms=idle_grace_ms, m=m, ef_construction=ef_construction,
+            ef_search=ef_search, brute_threshold=brute_threshold,
+            fallback_metric=fallback_metric,
+            degraded_scan_limit=degraded_scan_limit, seed=seed,
         )
-        self._spec = _ShardSpec(
-            encoder=encoder,
-            dim=dim,
-            m=m,
-            ef_construction=ef_construction,
-            ef_search=ef_search,
-            brute_threshold=brute_threshold,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            idle_grace_ms=idle_grace_ms,
-            seed=seed,
-        )
+        self._handles: List[ProcessShard] = self._shards
+        self.shard_deadline_s = shard_deadline_s
+        self._closed = False
+        self._close_lock = new_lock("serve.shard.close")
+        # Fleet telemetry: every Prometheus scrape re-pulls the worker
+        # registries (TTL-throttled) instead of waiting for shard_stats().
+        self.stats_ttl_s = stats_ttl_s
+        self._stats_refreshed_at: Optional[float] = None
+        self._stats_lock = new_lock("serve.shard.statsttl")
+        register_scrape_hook(self.refresh_shard_telemetry)
+
+    def _build_shards(self, spec: _ShardSpec) -> List[Shard]:
+        """One spawned worker per shard, each rebuilding its stack from ``spec``."""
         # Spawn (not fork): workers must not inherit the coordinator's
         # threads, locks or sanitizer state — a forked child of a
         # multi-threaded parent is undefined behaviour waiting to happen.
         ctx = mp.get_context("spawn")
-        self._handles = [
-            _ShardHandle(i, ctx, self._spec, slots, slot_bytes)
-            for i in range(n_shards)
+        slots, slot_bytes = self._slab_geometry
+        return [
+            ProcessShard(i, ctx, spec, slots, slot_bytes)
+            for i in range(self.n_shards)
         ]
-        # Coordinator-retained store: trajectories by gid (true-metric
-        # fallback) and per-shard embedding blocks (exact fallback scan
-        # covering a dead or deadline-missing shard).
-        self._trajs: List[np.ndarray] = []
-        self._shard_gids: List[List[int]] = [[] for _ in range(n_shards)]
-        self._blocks: List[List[np.ndarray]] = [[] for _ in range(n_shards)]
-        self._block_cache: List[Optional[np.ndarray]] = [None] * n_shards
-        self._store_lock = new_lock("serve.shard.store")
-        self._rr = itertools.count()
-        self._closed = False
-        self._close_lock = new_lock("serve.shard.close")
-        # Fleet telemetry: every Prometheus scrape re-pulls the worker
-        # registries (TTL-throttled) instead of waiting for stats().
-        self.stats_ttl_s = stats_ttl_s
-        self._stats_refreshed_at: Optional[float] = None
-        self._stats_lock = new_lock("serve.shard.statsttl")
-        register_scrape_hook(self._refresh_on_scrape)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _as_points(traj) -> np.ndarray:
-        """Raw float64 point array behind a trajectory-or-array argument."""
-        return np.asarray(
-            traj.points if hasattr(traj, "points") else traj, dtype=np.float64
-        )
-
-    def __len__(self) -> int:
-        with self._store_lock:
-            return len(self._trajs)
-
-    def __enter__(self) -> "ShardedSimilarityServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def live_shards(self) -> List[int]:
-        """Indices of shards whose worker process is still serving."""
-        return [h.idx for h in self._handles if not h.dead]
 
     # ------------------------------------------------------------------
     def add(self, traj) -> int:
@@ -890,9 +906,7 @@ class ShardedSimilarityServer:
         to degrade around.
         """
         points = [self._as_points(t) for t in trajs]
-        with self._store_lock:
-            gid0 = len(self._trajs)
-            self._trajs.extend(points)
+        gid0 = self._store(points)
         per_shard: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
         for offset, pts in enumerate(points):
             gid = gid0 + offset
@@ -904,29 +918,18 @@ class ShardedSimilarityServer:
         futures = []
         for shard, (shard_gids, shard_pts) in sorted(per_shard.items()):
             handle = self._handles[shard]
-            if handle.dead:
-                raise ShardDeadError(f"cannot add to dead shard {shard}")
-            futures.append(
-                (
-                    handle,
-                    shard_gids,
-                    handle.request(
-                        {"cmd": "add_batch", "trajs": shard_pts, "gids": shard_gids}
-                    ),
-                )
+            request = handle.request(
+                "add_batch", trace_ctx=None, trajs=shard_pts, gids=shard_gids
             )
+            futures.append((handle, shard_gids, request))
         for handle, shard_gids, future in futures:
             resp = self._await_build(handle, future)
             if "error" in resp:
                 raise RuntimeError(f"shard {handle.idx} add failed: {resp['error']}")
-            embeddings = np.asarray(resp["embeddings"], dtype=np.float64)
-            with self._store_lock:
-                self._shard_gids[handle.idx].extend(shard_gids)
-                self._blocks[handle.idx].append(embeddings)
-                self._block_cache[handle.idx] = None
+            handle.retain(shard_gids, resp["embeddings"])
         return list(range(gid0, gid0 + len(points)))
 
-    def _await_build(self, handle: _ShardHandle, future: Future) -> dict:
+    def _await_build(self, handle: ProcessShard, future: Future) -> dict:
         """Build-path wait: poll the future while the worker stays alive."""
         deadline = time.perf_counter() + self.build_timeout_s
         while True:
@@ -944,438 +947,22 @@ class ShardedSimilarityServer:
                     ) from None
 
     # ------------------------------------------------------------------
-    # The E001 pass statically verifies this annotation: every raise
-    # reachable from topk must be caught before it gets back here.
-    def topk(self, traj, k: int = 1, deadline_s: Optional[float] = None) -> ServeResult:  # contract: never-raises
-        """Scatter-gather top-k over all shards; never raises.
-
-        ``deadline_s`` bounds the encode wait (the gather is always
-        bounded by ``shard_deadline_s``); dead, hung or erroring shards
-        are covered by the coordinator's exact embedding-space fallback
-        scan and flag the result ``degraded=True``.
-        """
-        start = time.perf_counter()
-        try:
-            return self._topk_impl(traj, k, deadline_s, start)
-        except Exception as exc:
-            # Last-resort guard: the serving contract is "no exceptions
-            # to the caller"; anything unexpected degrades instead.
-            _LOG.error("sharded-topk-unexpected", error=type(exc).__name__, k=k)
-            return self._last_resort(traj, k, start, exc)
-
-    def _topk_impl(
-        self, traj, k: int, deadline_s: Optional[float], start: float
-    ) -> ServeResult:
-        """Cache probe -> remote encode -> scatter-gather merge.
-
-        May raise; :meth:`topk` owns the never-raises guard.
-        """
-        registry = get_registry()
-        registry.counter("serve.query.requests").inc()
-        with get_tracer().trace("serve.topk", k=k, shards=self.n_shards) as trace:
-            if deadline_s is not None:
-                trace.set(deadline_s=deadline_s)
-            points = self._as_points(traj)
-            key = trajectory_key(points)
-            with trace.span("cache") as cache_span:
-                cached = self.cache.get(key)
-                cache_hit = cached is not None
-                cache_span.set(result="hit" if cache_hit else "miss")
-            trace.set(cache_hit=cache_hit)
-            if cache_hit:
-                embedding = cached
-            else:
-                budget = self.shard_deadline_s
-                if deadline_s is not None:
-                    budget = min(budget, deadline_s - (time.perf_counter() - start))
-                if budget <= 0:
-                    return self._degraded_scan(
-                        points, k, start, cache_hit=False,
-                        reason="deadline-before-encode",
-                    )
-                embedding = self._encode_remote(points, budget, trace)
-                if embedding is None:
-                    return self._degraded_scan(
-                        points, k, start, cache_hit=False, reason="encode-failed"
-                    )
-                self.cache.put(key, embedding)
-            return self._scatter_gather(embedding, k, start, cache_hit, trace)
-
-    def _last_resort(self, traj, k: int, start: float, exc: Exception) -> ServeResult:
-        """Absolute fallback behind the never-raises contract.
-
-        Tries the degraded exact path; if even that faults, answers with
-        an empty result built from literals only — the one construction
-        the exception model proves cannot raise.
-        """
-        try:
-            get_registry().counter("serve.query.unexpected_errors").inc()
-            return self._degraded_scan(
-                self._as_points(traj), k, start, cache_hit=False,
-                reason=f"unexpected:{type(exc).__name__}",
-            )
-        except Exception as inner:
-            _LOG.error("sharded-topk-last-resort", error=type(inner).__name__, k=k)
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=True,
-                cache_hit=False,
-                source="degraded-exact",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-
-    # ------------------------------------------------------------------
-    def _encode_remote(
-        self, points: np.ndarray, budget: float, trace
-    ) -> Optional[np.ndarray]:
-        """Query embedding via one worker's MicroBatcher; None on failure.
-
-        The encode is dispatched round-robin to a single live worker (the
-        whole pool batches independently); one retry goes to a different
-        worker when the first attempt fails or times out with budget to
-        spare.  Timeouts double as death probes for the chosen worker.
-        """
-        registry = get_registry()
-        deadline = time.perf_counter() + budget
-        for attempt in range(2):
-            live = [h for h in self._handles if not h.dead]
-            if not live:
-                return None
-            handle = live[next(self._rr) % len(live)]
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                registry.counter("serve.query.deadline_missed").inc()
-                return None
-            if attempt:
-                registry.counter("serve.shard.encode_retries").inc()
-            with trace.span("encode") as enc_span:
-                enc_span.set(shard=handle.idx, attempt=attempt)
-                ctx = trace.context()
-                wire_ctx = ctx.to_wire() if ctx is not None else None
-                try:
-                    future = handle.send_payload(
-                        {"cmd": "encode", "trace_ctx": wire_ctx}, points
-                    )
-                    resp = future.result(timeout=remaining)
-                except FutureTimeoutError:
-                    registry.counter("serve.query.deadline_missed").inc()
-                    if not handle.process.is_alive():
-                        handle.mark_dead("died-before-encode")
-                    enc_span.set(result="timeout")
-                    continue
-                except Exception as exc:
-                    _LOG.warning(
-                        "shard-encode-error",
-                        shard=handle.idx,
-                        error=type(exc).__name__,
-                    )
-                    enc_span.set(result="error", error=type(exc).__name__)
-                    continue
-                if "error" in resp:
-                    enc_span.set(result="error", error=resp["error"])
-                    self._graft(trace, enc_span.span_id, resp, ctx, handle.idx)
-                    continue
-                enc_span.set(result="ok", worker_s=resp.get("worker_s", 0.0))
-                self._graft(trace, enc_span.span_id, resp, ctx, handle.idx)
-                return np.asarray(resp["embedding"], dtype=np.float64)
-        return None
-
-    @staticmethod
-    def _graft(trace, span_id, resp: dict, ctx: Optional[TraceContext], shard: int) -> None:
-        """Stitch a worker-returned span subtree under one local span."""
-        if ctx is not None and "trace" in resp:
-            graft_subtree(
-                trace, span_id, resp["trace"],
-                clock_offset=ctx.clock_offset, shard=shard,
-            )
-
-    def _scatter_gather(
-        self, embedding: np.ndarray, k: int, start: float, cache_hit: bool, trace
-    ) -> ServeResult:
-        """Fan out to live shards, gather under deadline, merge exactly."""
-        registry = get_registry()
-        with self._store_lock:
-            n_total = len(self._trajs)
-        if n_total == 0:
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=False,
-                cache_hit=cache_hit,
-                source="sharded",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-        k_eff = min(k, n_total)
-        ctx = trace.context()
-        wire_ctx = ctx.to_wire() if ctx is not None else None
-        gather_deadline = time.perf_counter() + self.shard_deadline_s
-        pending: List[Tuple[_ShardHandle, Future, float]] = []
-        fallback: List[Tuple[int, str]] = []
-        with trace.span("dispatch") as dispatch_span:
-            for handle in self._handles:
-                if handle.dead:
-                    fallback.append((handle.idx, "dead"))
-                    continue
-                try:
-                    future = handle.send_payload(
-                        {"cmd": "search", "k": k_eff, "trace_ctx": wire_ctx},
-                        embedding,
-                    )
-                except Exception as exc:
-                    _LOG.warning(
-                        "shard-send-failed", shard=handle.idx, error=type(exc).__name__
-                    )
-                    fallback.append((handle.idx, f"send-failed:{type(exc).__name__}"))
-                    continue
-                pending.append((handle, future, time.perf_counter()))
-            dispatch_span.set(shards=len(pending))
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        # Per-shard coordinator-side wait, for straggler attribution.
-        shard_waits: List[Tuple[int, float]] = []
-        for handle, future, sent in pending:
-            remaining = gather_deadline - time.perf_counter()
-            try:
-                resp = future.result(timeout=max(remaining, 0.0))
-            except FutureTimeoutError:
-                now = time.perf_counter()
-                shard_waits.append((handle.idx, now - sent))
-                if not handle.process.is_alive():
-                    handle.mark_dead("died-mid-query")
-                    trace.record_span(
-                        f"shard-{handle.idx}", sent, now, result="dead", dead=True
-                    )
-                    fallback.append((handle.idx, "dead"))
-                else:
-                    registry.counter("serve.shard.deadline_missed").inc()
-                    trace.record_span(
-                        f"shard-{handle.idx}", sent, now,
-                        result="deadline", deadline=True,
-                    )
-                    fallback.append((handle.idx, "deadline"))
-                continue
-            except ShardDeadError:
-                # The reaper failed the pending future: the worker died
-                # with our request in flight.
-                now = time.perf_counter()
-                shard_waits.append((handle.idx, now - sent))
-                trace.record_span(
-                    f"shard-{handle.idx}", sent, now, result="dead", dead=True
-                )
-                fallback.append((handle.idx, "dead"))
-                continue
-            except Exception as exc:
-                _LOG.warning(
-                    "shard-gather-error",
-                    shard=handle.idx,
-                    error=type(exc).__name__,
-                )
-                now = time.perf_counter()
-                shard_waits.append((handle.idx, now - sent))
-                trace.record_span(
-                    f"shard-{handle.idx}", sent, now,
-                    result="error", error=type(exc).__name__,
-                )
-                fallback.append((handle.idx, type(exc).__name__))
-                continue
-            now = time.perf_counter()
-            shard_waits.append((handle.idx, now - sent))
-            if "error" in resp:
-                span_id = trace.record_span(
-                    f"shard-{handle.idx}", sent, now,
-                    result="error", error=resp["error"],
-                )
-                self._graft(trace, span_id, resp, ctx, handle.idx)
-                fallback.append((handle.idx, "worker-error"))
-                continue
-            # Cross-process stitch: the shard span covers dispatch to
-            # gather on the coordinator clock; the worker's subtree
-            # (ipc-wait / slab-read / search) is grafted beneath it.
-            span_id = trace.record_span(
-                f"shard-{handle.idx}", sent, now,
-                result="ok", n=resp.get("n", 0),
-                search_s=resp.get("search_s", 0.0),
-                wait_s=resp.get("wait_s", 0.0),
-            )
-            self._graft(trace, span_id, resp, ctx, handle.idx)
-            parts.append((resp["dists"], resp["gids"]))
-        if shard_waits:
-            waits = np.asarray([w for _, w in shard_waits], dtype=float)
-            trace.set(
-                straggler_gap_s=float(waits.max() - np.median(waits)),
-                slowest_shard=int(shard_waits[int(np.argmax(waits))][0]),
-            )
-        for shard_idx, reason in fallback:
-            with trace.span(f"fallback-{shard_idx}") as fb_span:
-                fb_span.set(reason=reason)
-                parts.append(self._fallback_shard_topk(shard_idx, embedding, k_eff))
-            registry.counter("serve.shard.fallback_scans").inc()
-        with trace.span("merge") as merge_span:
-            sq, gids = merge_topk(parts, k_eff)
-            # Squared L2 values are nonnegative by construction.
-            dists = np.sqrt(sq)  # lint: allow(N002)
-            merge_span.set(parts=len(parts))
-        degraded = bool(fallback)
-        if degraded:
-            registry.counter("serve.query.degraded").inc()
-            get_tracer().annotate(
-                degraded=True, source="sharded-fallback",
-                fallback_shards=len(fallback),
-            )
-        else:
-            registry.counter("serve.query.answered").inc()
-            get_tracer().annotate(degraded=False, source="sharded")
-        registry.histogram("serve.query.seconds").observe(time.perf_counter() - start)
-        return ServeResult(
-            ids=np.asarray(gids, dtype=int),
-            distances=np.asarray(dists, dtype=float),
-            degraded=degraded,
-            cache_hit=cache_hit,
-            source="sharded-fallback" if degraded else "sharded",
-            seconds=time.perf_counter() - start,
-            k=k,
-        )
-
-    def _shard_block(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
-        """This shard's retained ``(embeddings, gids)``, stacked and cached."""
-        with self._store_lock:
-            cached = self._block_cache[shard]
-            blocks = list(self._blocks[shard])
-            gids = np.asarray(self._shard_gids[shard], dtype=int)
-        if cached is not None and len(cached) == len(gids):
-            return cached, gids
-        stacked = (
-            np.concatenate(blocks, axis=0) if blocks else np.zeros((0, self.dim))
-        )
-        with self._store_lock:
-            self._block_cache[shard] = stacked
-        return stacked, gids
-
-    def _fallback_shard_topk(
-        self, shard: int, embedding: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact brute scan of one shard's retained embedding block.
-
-        Identical arithmetic to the worker's brute path (same rows, same
-        stable tie order), so a degraded merge stays *exact* in embedding
-        space — a dead shard costs latency, not correctness.
-        """
-        block, gids = self._shard_block(shard)
-        if len(gids) == 0:
-            return np.zeros(0), np.zeros(0, dtype=int)
-        diffs = block - embedding[None, :]
-        sq = (diffs**2).sum(axis=1)
-        order = np.argsort(sq, kind="stable")[: min(k, len(gids))]
-        return sq[order], gids[order]
-
-    def _degraded_scan(
-        self,
-        points: np.ndarray,
-        k: int,
-        start: float,
-        cache_hit: bool,
-        reason: str = "unknown",
-    ) -> ServeResult:
-        """True-metric fallback over the coordinator's retained store.
-
-        The tier below the embedding-space fallback: when no embedding
-        could be obtained at all, the exact trajectory metric is
-        evaluated against a bounded subset — same semantics and bound as
-        the single-process engine's degraded path.
-        """
-        registry = get_registry()
-        registry.counter("serve.query.degraded").inc()
-        get_tracer().annotate(
-            degraded=True, degraded_reason=reason, source="degraded-exact"
-        )
-        with self._store_lock:
-            subset = list(self._trajs[: self.degraded_scan_limit])
-        if not subset:
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=True,
-                cache_hit=cache_hit,
-                source="degraded-exact",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-        order, dists = exact_metric_topk(points, subset, self.fallback_metric, k)
-        return ServeResult(
-            ids=np.asarray(order, dtype=int),
-            distances=dists,
-            degraded=True,
-            cache_hit=cache_hit,
-            source="degraded-exact",
-            seconds=time.perf_counter() - start,
-            k=k,
-        )
-
-    # ------------------------------------------------------------------
     def shard_stats(self, timeout_s: float = 2.0) -> Dict[int, dict]:
-        """Per-shard worker stats (pid, size, index bytes, registry mirror).
-
-        Sends a ``stats`` probe to every live worker and mirrors each
-        returned registry snapshot into this process's registry under
-        ``serve.shard.<i>.*`` gauges — the cross-process metrics handoff
-        ``repro-tmn report`` and the bench read.
-        """
-        out: Dict[int, dict] = {}
-        probes = []
-        for handle in self._handles:
-            if handle.dead:
-                out[handle.idx] = {"dead": True}
-                continue
-            try:
-                probes.append((handle, handle.request({"cmd": "stats"})))
-            except Exception as exc:
-                _LOG.debug(
-                    "shard-stats-probe-failed",
-                    shard=handle.idx,
-                    error=type(exc).__name__,
-                )
-                out[handle.idx] = {"dead": True, "error": type(exc).__name__}
-        registry = get_registry()
-        for handle, future in probes:
-            try:
-                resp = future.result(timeout=timeout_s)
-            except Exception as exc:
-                _LOG.debug(
-                    "shard-stats-timeout",
-                    shard=handle.idx,
-                    error=type(exc).__name__,
-                )
-                out[handle.idx] = {"dead": handle.dead, "error": type(exc).__name__}
-                continue
-            snapshot = resp.get("snapshot", {})
-            mirror_snapshot(snapshot, f"serve.shard.{handle.idx}.", registry)
-            out[handle.idx] = {
-                "dead": False,
-                "pid": resp.get("pid"),
-                "size": resp.get("size", 0),
-                "index_bytes": resp.get("index_bytes", 0),
-            }
+        """Per-shard worker stats (pid, size, index bytes, registry mirror)."""
+        out = {handle.idx: handle.stats(timeout_s) for handle in self._handles}
         with self._stats_lock:
             self._stats_refreshed_at = time.perf_counter()
         return out
-
-    def _refresh_on_scrape(self) -> None:
-        """Exposition scrape hook: keep ``serve.shard.N.*`` mirrors fresh."""
-        self.refresh_shard_telemetry()
 
     def refresh_shard_telemetry(
         self, ttl_s: Optional[float] = None, timeout_s: float = 0.5
     ) -> bool:
         """Re-pull worker registry snapshots when the mirror has gone stale.
 
-        Registered as a Prometheus scrape hook at construction, so the
-        ``serve.shard.N.*`` gauges track live workers on every scrape
-        instead of only moving when someone calls :meth:`shard_stats`.
-        The TTL (``stats_ttl_s`` unless overridden) bounds scrape cost
-        to at most one cheap per-worker probe per TTL window.  Returns
-        True when a refresh actually ran.
+        Registered as the Prometheus scrape hook, so ``serve.shard.N.*``
+        gauges track live workers on every scrape; the TTL
+        (``stats_ttl_s`` unless overridden) bounds that to one probe per
+        worker per window.  Returns True when a refresh actually ran.
         """
         with self._close_lock:
             if self._closed:
@@ -1394,88 +981,21 @@ class ShardedSimilarityServer:
 
     def dump_shard(self, shard: int, timeout_s: float = 60.0) -> dict:
         """One shard's index state and gid map (for in-process rebuilds)."""
-        handle = self._handles[shard]
-        resp = handle.request({"cmd": "dump"}).result(timeout=timeout_s)
+        resp = self._handles[shard].request("dump", trace_ctx=None).result(timeout=timeout_s)
         if "error" in resp:
             raise RuntimeError(f"shard {shard} dump failed: {resp['error']}")
         return {"state": resp["state"], "gids": resp["gids"]}
 
     def debug_shard(self, shard: int, timeout_s: float = 5.0, **hooks) -> dict:
         """Install fault-injection hooks (e.g. ``search_delay_s``) in a worker."""
-        handle = self._handles[shard]
-        resp = handle.request({"cmd": "debug", "hooks": hooks}).result(
-            timeout=timeout_s
-        )
-        return resp.get("hooks", {})
+        future = self._handles[shard].request("debug", trace_ctx=None, hooks=hooks)
+        return future.result(timeout=timeout_s).get("hooks", {})
 
     def echo_shard(self, shard: int, array: np.ndarray, timeout_s: float = 5.0) -> dict:
         """Round-trip an array through a worker's slab (lifecycle tests)."""
-        handle = self._handles[shard]
-        return handle.send_payload({"cmd": "echo"}, array).result(timeout=timeout_s)
-
-    def stats(self) -> dict:
-        """Coordinator-level serving counters snapshot."""
-        with self._store_lock:
-            n_trajs = len(self._trajs)
-        return {
-            "db_size": n_trajs,
-            "n_shards": self.n_shards,
-            "live_shards": len(self.live_shards),
-            "cache_size": len(self.cache),
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "cache_hit_rate": self.cache.hit_rate,
-        }
-
-    def memory_stats(self, registry=None) -> dict:
-        """Byte audit across the process pool, mirrored into gauges.
-
-        Accounts the coordinator's retained store (trajectories +
-        fallback embedding blocks + cache) plus each live worker's index
-        payload bytes and resident set (read from ``/proc/<pid>``), and
-        derives ``bytes_per_trajectory`` over the accounted structures —
-        the same gauges the memory SLOs and the bench gate read.
-        """
-        from ..obs.memory import rss_bytes, update_memory_gauges
-
-        with self._store_lock:
-            n_trajs = len(self._trajs)
-            store_bytes = sum(t.nbytes for t in self._trajs)
-            block_bytes = sum(b.nbytes for blocks in self._blocks for b in blocks)
-        cache_bytes = self.cache.nbytes
-        reg = registry if registry is not None else get_registry()
-        shard_info = self.shard_stats()
-        index_bytes = 0
-        worker_rss = 0
-        for idx, info in shard_info.items():
-            if info.get("dead"):
-                continue
-            index_bytes += int(info.get("index_bytes", 0))
-            pid = info.get("pid")
-            if pid:
-                rss = rss_bytes(pid=pid)
-                worker_rss += rss
-                reg.gauge(f"serve.shard.{idx}.rss_bytes").set(rss)
-        total = store_bytes + block_bytes + cache_bytes + index_bytes
-        per_traj = total / n_trajs if n_trajs else 0.0
-        reg.gauge("serve.store.bytes").set(store_bytes + block_bytes)
-        reg.gauge("serve.cache.bytes").set(cache_bytes)
-        reg.gauge("serve.index.bytes").set(index_bytes)
-        reg.gauge("serve.store.bytes_per_trajectory").set(per_traj)
-        reg.gauge("serve.shard.worker_rss_bytes").set(worker_rss)
-        process = update_memory_gauges(reg)
-        return {
-            "n_trajectories": n_trajs,
-            "store_bytes": store_bytes,
-            "block_bytes": block_bytes,
-            "cache_bytes": cache_bytes,
-            "index_bytes": index_bytes,
-            "total_bytes": total,
-            "bytes_per_trajectory": per_traj,
-            "worker_rss_bytes": worker_rss,
-            "rss_bytes": process["rss_bytes"],
-            "peak_rss_bytes": process["peak_rss_bytes"],
-        }
+        return self._handles[shard].request("echo", array, trace_ctx=None).result(
+            timeout=timeout_s
+        )
 
     def close(self) -> None:
         """Stop every worker, release every segment; idempotent, no raise."""
@@ -1483,11 +1003,5 @@ class ShardedSimilarityServer:
             if self._closed:
                 return
             self._closed = True
-        unregister_scrape_hook(self._refresh_on_scrape)
-        for handle in self._handles:
-            try:
-                handle.stop()
-            except Exception as exc:  # close must always complete
-                _LOG.warning(
-                    "shard-close-failed", shard=handle.idx, error=type(exc).__name__
-                )
+        unregister_scrape_hook(self.refresh_shard_telemetry)
+        super().close()

@@ -5,7 +5,8 @@ finding is exact) and one negative fixture (the disciplined version that
 must stay clean).  The end of the file covers the scope/severity
 plumbing (``--scope exception``, ``--fail-on``, ``--list-rules``) and
 the never-raises serving contract end-to-end: the source tree is clean,
-the model proves :meth:`SimilarityServer.topk` has an empty escape set,
+the model proves the coordinator's :meth:`SimilarityServer.topk` (the one
+contract both server kinds share) has an empty escape set,
 and mutated copies of the tree (catch narrowed, allow stripped) fail the
 pass with the full propagation chain — the static side of the dynamic
 fault-injection suite.
@@ -669,38 +670,54 @@ class TestNeverRaisesContract:
         assert report.ok, report.format_text()
 
     def test_model_proves_topk_and_worker_never_raise(self):
+        """One contract covers both server kinds: the coordinator's ``topk``.
+
+        ``ShardedSimilarityServer`` inherits it, so ``src/repro/serve``
+        carries exactly one contracted ``topk`` (plus the bench worker).
+        """
         model = _real_model()
         contracted = {fn.key for fn in model.contracts}
         topk = "src/repro/serve/engine.py::SimilarityServer.topk"
         worker = "src/repro/serve/bench.py::_drive_closed_loop.worker"
-        assert topk in contracted
-        assert worker in contracted
+        assert {k for k in contracted if k.startswith("src/repro/serve/")} == {
+            topk,
+            worker,
+        }
         assert model.escapes[topk] == set()
         assert model.escapes[worker] == set()
         # The proof is not vacuous: the pipeline behind the guard has a
         # rich may-raise set the outer catch must discharge.
         impl = "src/repro/serve/engine.py::SimilarityServer._topk_impl"
-        assert model.escapes[impl], "expected _topk_impl to have escapes"
         assert any(
-            "hnsw" in esc.origin_module for esc in model.escapes[impl]
-        )
+            "hnsw" in esc.origin_module and "LocalShard.search" in esc.chain
+            for esc in model.escapes[impl]
+        ), "expected an HNSWIndex escape through the in-process shard"
 
     def test_model_proves_sharded_topk_never_raises(self):
         """The sharded coordinator carries the same contract as the engine.
 
-        ``ShardedSimilarityServer.topk`` must be proven raise-free even
-        though the scatter-gather path behind it can time out, lose
-        workers mid-request (``ShardDeadError``) and fail remote
-        encodes — the whole may-raise set has to be discharged by the
-        same last-resort structure the single-process engine uses.
+        ``ShardedSimilarityServer`` inherits ``SimilarityServer.topk``, so
+        that one proof must cover the scatter-gather path behind it too:
+        the process shard's gather can time out and lose workers
+        mid-request (``ShardDeadError``), and the whole may-raise set has
+        to be discharged by the same last-resort structure.
         """
+        from repro.serve.engine import SimilarityServer
+        from repro.serve.shard import ShardedSimilarityServer
+
+        assert issubclass(ShardedSimilarityServer, SimilarityServer)
+        assert "topk" not in vars(ShardedSimilarityServer)
         model = _real_model()
         contracted = {fn.key for fn in model.contracts}
-        topk = "src/repro/serve/shard.py::ShardedSimilarityServer.topk"
+        topk = "src/repro/serve/engine.py::SimilarityServer.topk"
         assert topk in contracted
         assert model.escapes[topk] == set()
-        impl = "src/repro/serve/shard.py::ShardedSimilarityServer._topk_impl"
-        assert model.escapes[impl], "expected sharded _topk_impl to have escapes"
+        impl = "src/repro/serve/engine.py::SimilarityServer._topk_impl"
+        assert any(
+            esc.origin_module.endswith("serve/shard.py")
+            and "ProcessShard.collect" in esc.chain
+            for esc in model.escapes[impl]
+        ), "expected an escape through the process shard's gather path"
 
     def test_narrowed_catch_fails_with_the_propagation_chain(self, tmp_path):
         """Static/dynamic agreement, static side: un-guard topk -> E001.

@@ -10,7 +10,8 @@ In-process tests pin down the wire format, graft semantics (id
 remapping, clock-offset shifting, truncation, non-finite-attr
 sanitisation, never-raises on malformed payloads), the scrape-hook and
 shard-label exposition machinery, the fleet SLO kinds and lint rule
-R010.  The ``@pytest.mark.shard`` tests drive real spawned worker
+R008's context-token check and the required ``trace_ctx`` keyword.
+The ``@pytest.mark.shard`` tests drive real spawned worker
 processes and assert the acceptance-level properties: a stitched
 4-shard trace whose worker-side spans cover >=90% of each shard's wall
 time, a SIGKILL mid-flight still yielding a complete stitched trace
@@ -468,39 +469,13 @@ class TestTracingOverheadGate:
 
 
 # ----------------------------------------------------------------------
-# Lint rule R010
+# Trace-context propagation: R008's context-token check and the
+# required-keyword dispatch API
 # ----------------------------------------------------------------------
 class TestTraceContextLintRule:
     def _lint(self, tmp_path, source):
         (tmp_path / "mod.py").write_text(textwrap.dedent(source))
-        return run_analysis([tmp_path], root=tmp_path, rules=["R010"])
-
-    def test_flags_dispatch_dicts_without_trace_ctx(self, tmp_path):
-        report = self._lint(
-            tmp_path,
-            """\
-            def dispatch(handle, wire):
-                handle.request({"cmd": "search", "k": 5})
-                handle.send_payload({"cmd": "encode"}, b"")
-                handle.request({"cmd": "search", "k": 5, "trace_ctx": wire})
-                handle.request({"cmd": "stats"})
-            """,
-        )
-        assert [(v.rule, v.line) for v in report.violations] == [
-            ("R010", 2),
-            ("R010", 3),
-        ]
-
-    def test_trace_ctx_none_satisfies_the_contract(self, tmp_path):
-        report = self._lint(
-            tmp_path,
-            """\
-            def dispatch(handle):
-                handle.request({"cmd": "search", "trace_ctx": None})
-                handle.request({"cmd": "encode", "trace_ctx": None})
-            """,
-        )
-        assert report.ok
+        return run_analysis([tmp_path], root=tmp_path, rules=["R008"])
 
     def test_flags_discarded_context_tokens(self, tmp_path):
         report = self._lint(
@@ -514,16 +489,16 @@ class TestTraceContextLintRule:
             """,
         )
         assert [(v.rule, v.line) for v in report.violations] == [
-            ("R010", 2),
-            ("R010", 3),
+            ("R008", 2),
+            ("R008", 3),
         ]
 
     def test_allow_comment_suppresses(self, tmp_path):
         report = self._lint(
             tmp_path,
             """\
-            def dispatch(handle):
-                handle.request({"cmd": "search"})  # lint: allow(R010)
+            def f(tracer):
+                capture_context(tracer)  # lint: allow(R008)
             """,
         )
         assert report.ok
@@ -535,8 +510,24 @@ class TestTraceContextLintRule:
         import repro.serve.shard as shard_mod
 
         src_root = pathlib.Path(shard_mod.__file__).parents[2]
-        report = run_analysis([src_root / "repro"], root=src_root, rules=["R010"])
+        report = run_analysis([src_root / "repro"], root=src_root, rules=["R008"])
         assert report.ok
+
+    def test_a_request_without_trace_context_cannot_be_built(self):
+        """``trace_ctx`` is a required keyword of the one dispatch method.
+
+        Python rejects the call before the body runs, so no worker (and no
+        lint rule) is needed to prove a search or encode always ships it.
+        """
+        import inspect
+
+        from repro.serve.shard import ProcessShard
+
+        param = inspect.signature(ProcessShard.request).parameters["trace_ctx"]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY
+        assert param.default is inspect.Parameter.empty
+        with pytest.raises(TypeError, match="trace_ctx"):
+            ProcessShard.request(object(), "search", np.zeros(4), k=5)
 
 
 # ----------------------------------------------------------------------

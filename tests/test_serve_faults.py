@@ -314,3 +314,78 @@ def test_future_contract_smoke():
         future = batcher.submit(_trajs(1)[0])
         assert isinstance(future, Future)
         assert future.result(timeout=5).shape == (DIM,)
+
+
+# ---------------------------------------------------------------------------
+# Coordinator edge cases shared by both server kinds
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind", ["in-process", pytest.param("sharded", marks=pytest.mark.shard)]
+)
+def test_non_positive_k_is_an_empty_answer_without_encode(kind):
+    """k < 1 never encodes, never degrades and never trips the guard —
+    below and above ``brute_threshold`` alike, for both server kinds."""
+    encoder = FlakyEncoder()
+    if kind == "in-process":
+        server = SimilarityServer(encoder, dim=DIM, brute_threshold=8)
+    else:
+        from repro.serve import FeatureEncoder, ShardedSimilarityServer
+
+        server = ShardedSimilarityServer(
+            FeatureEncoder(dim=DIM), dim=DIM, n_shards=2, brute_threshold=8,
+            shard_deadline_s=30.0,
+        )
+    with server:
+        for n_db in (6, 40):  # below, then above the brute threshold
+            server.add_batch(_trajs(n_db - len(server), seed=n_db))
+            query = _trajs(1, seed=100 + n_db)[0]
+            for k in (0, -3):
+                calls = encoder.calls
+                requests = _counter("serve.shard.requests")
+                unexpected = _counter("serve.query.unexpected_errors")
+                result = server.topk(query, k=k)
+                assert result.ids.size == 0 and result.distances.size == 0
+                assert not result.degraded
+                assert result.k == k
+                assert encoder.calls == calls  # no in-process encode
+                assert _counter("serve.shard.requests") == requests  # no worker call
+                assert _counter("serve.query.unexpected_errors") == unexpected
+
+
+def test_concurrent_adds_keep_store_and_index_ids_aligned():
+    """The id ``add`` returns is the trajectory's id in every answer.
+
+    Thread A takes its store slot first but is held inside its index
+    insert while thread B adds; each trajectory's degraded (store) answer
+    and its normal (index) answer must both name its own ``add`` id.
+    """
+    trajs = _trajs(2, seed=81)
+    ids = {}
+    with SimilarityServer(_embed, dim=DIM) as server:
+        real_add = server.index.add
+        inside = threading.Event()
+
+        def slow_add(vector):
+            if threading.current_thread().name == "adder-a":
+                inside.set()
+                time.sleep(0.2)
+            return real_add(vector)
+
+        server.index.add = slow_add
+        adder = threading.Thread(
+            target=lambda: ids.__setitem__(0, server.add(trajs[0])), name="adder-a"
+        )
+        adder.start()
+        assert inside.wait(5.0)
+        ids[1] = server.add(trajs[1])
+        adder.join()
+        assert sorted(ids.values()) == [0, 1]
+        server.cache.clear()  # make every query below encode again
+        for i, traj in enumerate(trajs):
+            degraded = server.topk(traj, k=1, deadline_s=0.0)
+            assert degraded.degraded and degraded.ids[0] == ids[i]
+            served = server.topk(traj, k=1)
+            assert not served.degraded and served.ids[0] == ids[i]
+            assert served.distances[0] == pytest.approx(0.0, abs=1e-12)
