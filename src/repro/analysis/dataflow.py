@@ -52,6 +52,7 @@ __all__ = [
 FORWARD_ROOT_METHODS = (
     "forward",
     "forward_pair",
+    "head",
     "encode_side",
     "step_features",
     "embed_points",

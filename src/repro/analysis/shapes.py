@@ -447,21 +447,27 @@ class _Interpreter:
             elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "self":
                 self.attrs[target.attr] = value
             elif isinstance(target, (ast.Tuple, ast.List)):
-                elements = target.elts
-                parts: Sequence[Value]
-                if isinstance(value, tuple) and len(value) == len(elements):
-                    parts = value
-                else:
-                    parts = [None] * len(elements)
-                for element, part in zip(elements, parts):
-                    if isinstance(element, ast.Name):
-                        env[element.id] = part
-                    elif (
-                        isinstance(element, ast.Attribute)
-                        and isinstance(element.value, ast.Name)
-                        and element.value.id == "self"
-                    ):
-                        self.attrs[element.attr] = part
+                self._unpack(target, value, env)
+
+    def _unpack(self, target: ast.AST, value: Value, env: Dict[str, Value]) -> None:
+        """Bind a (possibly nested) tuple target element-wise."""
+        elements = target.elts
+        parts: Sequence[Value]
+        if isinstance(value, tuple) and len(value) == len(elements):
+            parts = value
+        else:
+            parts = [None] * len(elements)
+        for element, part in zip(elements, parts):
+            if isinstance(element, ast.Name):
+                env[element.id] = part
+            elif isinstance(element, (ast.Tuple, ast.List)):
+                self._unpack(element, part, env)
+            elif (
+                isinstance(element, ast.Attribute)
+                and isinstance(element.value, ast.Name)
+                and element.value.id == "self"
+            ):
+                self.attrs[element.attr] = part
 
     # -- forward-method interpretation ----------------------------------
     def run_method(self, name: str) -> Value:
@@ -474,9 +480,14 @@ class _Interpreter:
         method, path = entry
         self._analyzing.append(name)
         self._path_stack.append(path)
-        env: Dict[str, Value] = {
-            arg.arg: None for arg in method.args.args if arg.arg != "self"
-        }
+        params = [arg.arg for arg in method.args.args if arg.arg != "self"]
+        env: Dict[str, Value] = {param: None for param in params}
+        if name == "head" and params:
+            # head(rows) maps rows gathered from the per-step states that
+            # forward_pair returns (its first output when it returns a pair).
+            rows = self.run_method("forward_pair")
+            rows = rows[0] if isinstance(rows, tuple) and rows else rows
+            env[params[0]] = rows if isinstance(rows, SymDim) else None
         returns: List[Value] = []
         try:
             self._exec_method_block(method.body, env, returns)
@@ -591,8 +602,9 @@ class _Interpreter:
         if name == "concat":
             return self._concat_value(node, env)
         if name in ("cross_match",):
-            first = self._value_of(args[0], env) if args else None
-            return (first if isinstance(first, SymDim) else None, None)
+            # ((M_a, P_a), (M_b, P_b)): each M keeps its side's last axis.
+            sides = [self._value_of(arg, env) for arg in args[:2]]
+            return tuple((dim if isinstance(dim, SymDim) else None, None) for dim in sides)
         if name == "gather_last" and args:
             value = self._value_of(args[0], env)
             return value if isinstance(value, SymDim) else None
@@ -720,7 +732,7 @@ class _Interpreter:
 # ----------------------------------------------------------------------
 
 #: Methods interpreted as forward paths, in addition to plain ``forward``.
-_FORWARD_METHODS = ("forward", "forward_pair", "encode_side", "step_features", "embed_points")
+_FORWARD_METHODS = ("forward", "forward_pair", "head", "encode_side", "step_features", "embed_points")
 
 _MAX_FLAGS = 4
 

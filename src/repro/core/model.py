@@ -1,11 +1,13 @@
 """The TMN model (Section IV-B) and the shared pair-model interface.
 
 Every model in the reproduction — TMN and the four baselines — implements
-:class:`TrajectoryPairModel`: given a padded pair batch it returns per-step
-representations ``O`` of shape (B, T, d) for both sides, from which the
-trajectory embedding is the row at each sequence's final real step.  The
-trainer and evaluation stack are written against this interface only, so
-comparisons are apples-to-apples.
+:class:`TrajectoryPairModel`: given a padded pair batch, ``forward_pair``
+returns per-step states of shape (B, T, d) for both sides, *before* the
+model's output head.  Callers gather the rows they read (the final real
+step for the trajectory embedding, a prefix step for the sub-trajectory
+loss) and apply the row-wise ``head`` to those rows only.  The trainer and
+evaluation stack are written against this interface only, so comparisons
+are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -41,10 +43,13 @@ __all__ = [
 class TrajectoryPairModel(Module):
     """Interface shared by TMN and every baseline.
 
-    Subclasses implement :meth:`forward_pair`; single-trajectory encoding
-    defaults to running the pair forward with the trajectory on both sides
-    (correct for siamese models, and the natural reading of TMN's encoder
-    whose matching needs a counterpart).
+    Subclasses implement :meth:`forward_pair`, which returns pre-head
+    per-step states, and may override :meth:`head`, the row-wise output
+    map applied after the caller has gathered the rows it reads.  A caller
+    that skips ``head`` trains no head parameters.  Single-trajectory
+    encoding defaults to running the pair forward with the trajectory on
+    both sides (correct for siamese models, and the natural reading of
+    TMN's encoder whose matching needs a counterpart).
     """
 
     #: Embedding dimension d; subclasses must set it.
@@ -78,14 +83,18 @@ class TrajectoryPairModel(Module):
         lengths_b: np.ndarray,
         mask_b: np.ndarray,
     ) -> Tuple[Tensor, Tensor]:
-        """Per-step representations ``(O_a, O_b)`` each of shape (B, T, d)."""
+        """Pre-head per-step states ``(Z_a, Z_b)`` each of shape (B, T, d)."""
         raise NotImplementedError
+
+    def head(self, rows: Tensor) -> Tensor:
+        """Row-wise output head on gathered states (N, d); identity here."""
+        return rows
 
     def embed_pair(self, trajs_a: Sequence, trajs_b: Sequence) -> Tuple[Tensor, Tensor]:
         """Final-step embeddings (B, d) for two aligned trajectory lists."""
         pa, la, ma, pb, lb, mb = pair_batch(trajs_a, trajs_b)
         out_a, out_b = self.forward_pair(pa, la, ma, pb, lb, mb)
-        return gather_last(out_a, la), gather_last(out_b, lb)
+        return self.head(gather_last(out_a, la)), self.head(gather_last(out_b, lb))
 
     def encode(self, trajs: Sequence, batch_size: int = 64) -> np.ndarray:
         """Embed trajectories into R^d for the similarity-search database.
@@ -106,13 +115,27 @@ class TrajectoryPairModel(Module):
             for start in range(0, len(trajs), batch_size):
                 points, lengths, mask = pad_batch(trajs[start : start + batch_size])
                 out, _ = self.forward_pair(points, lengths, mask, points, lengths, mask)
-                chunks.append(gather_last(out, lengths).data)
+                chunks.append(self.head(gather_last(out, lengths)).data)
         return np.concatenate(chunks, axis=0)
 
 
 def _lengths(trajs: Sequence) -> np.ndarray:
     """Point counts of a trajectory list (arrays or ``Trajectory`` objects)."""
     return np.array([len(t.points if hasattr(t, "points") else t) for t in trajs])
+
+
+def _pair_distances(model, side_a, side_b, rows, cols, batch_pairs) -> np.ndarray:
+    """Embedding distance of each pair ``(side_a[rows[p]], side_b[cols[p]])``,
+    one forward per pair, ``batch_pairs`` pairs per batch."""
+    dists = np.empty(rows.size)
+    with no_grad():
+        for start in range(0, rows.size, batch_pairs):
+            part = slice(start, start + batch_pairs)
+            emb_a, emb_b = model.embed_pair(
+                [side_a[i] for i in rows[part]], [side_b[j] for j in cols[part]]
+            )
+            dists[part] = np.sqrt(((emb_a.data - emb_b.data) ** 2).sum(axis=1))
+    return dists
 
 
 def pair_distance_matrix(
@@ -138,14 +161,7 @@ def pair_distance_matrix(
         return embedding_distance_matrix(model.encode(trajs))
     result = np.zeros((n, n))
     rows, cols = length_ordered_pairs(*np.triu_indices(n, k=1), _lengths(trajs))
-    with no_grad():
-        for start in range(0, rows.size, batch_pairs):
-            r = rows[start : start + batch_pairs]
-            c = cols[start : start + batch_pairs]
-            emb_a, emb_b = model.embed_pair([trajs[i] for i in r], [trajs[j] for j in c])
-            dists = np.sqrt(((emb_a.data - emb_b.data) ** 2).sum(axis=1))
-            result[r, c] = dists
-            result[c, r] = dists
+    result[rows, cols] = result[cols, rows] = _pair_distances(model, trajs, trajs, rows, cols, batch_pairs)
     return result
 
 
@@ -166,20 +182,9 @@ def pair_cross_distance_matrix(
 
         return embedding_distance_matrix(model.encode(queries), model.encode(base))
     result = np.zeros((len(queries), len(base)))
-    q_idx, b_idx = np.meshgrid(
-        np.arange(len(queries)), np.arange(len(base)), indexing="ij"
-    )
-    q_idx, b_idx = length_ordered_pairs(
-        q_idx.ravel(), b_idx.ravel(), _lengths(queries), _lengths(base)
-    )
-    with no_grad():
-        for start in range(0, q_idx.size, batch_pairs):
-            qs = q_idx[start : start + batch_pairs]
-            bs = b_idx[start : start + batch_pairs]
-            emb_a, emb_b = model.embed_pair(
-                [queries[i] for i in qs], [base[j] for j in bs]
-            )
-            result[qs, bs] = np.sqrt(((emb_a.data - emb_b.data) ** 2).sum(axis=1))
+    q_idx, b_idx = np.indices(result.shape).reshape(2, -1)
+    q_idx, b_idx = length_ordered_pairs(q_idx, b_idx, _lengths(queries), _lengths(base))
+    result[q_idx, b_idx] = _pair_distances(model, queries, base, q_idx, b_idx, batch_pairs)
     return result
 
 
@@ -191,8 +196,8 @@ class TMN(TrajectoryPairModel):
     1. point embedding ``x = LeakyReLU(W0 p + b0)`` into d/2 dims (Eq. 4-5);
     2. matching mechanism: attention match pattern against the *other*
        trajectory and discrepancy ``M = X - P X_other`` (Eq. 6-11);
-    3. LSTM over ``[X ⊕ M]`` (Eq. 12);
-    4. per-step MLP head producing the final representations ``O`` (Eq. 13).
+    3. LSTM over ``[X ⊕ M]`` (Eq. 12): the states :meth:`forward_pair` returns;
+    4. MLP head producing ``O`` (Eq. 13), which :meth:`head` applies to rows.
 
     With ``config.matching = False`` step 2 is skipped and the LSTM sees
     ``X`` alone — the TMN-NM ablation.
@@ -222,7 +227,7 @@ class TMN(TrajectoryPairModel):
         return self.act(self.point_embed(Tensor(points)))
 
     def forward_pair(self, points_a, lengths_a, mask_a, points_b, lengths_b, mask_b):
-        """Per-step representations (O_a, O_b) for a padded pair batch.
+        """Pre-head LSTM states (Z_a, Z_b) for a padded pair batch.
 
         A self-pair — side b given as the very same ``points``/``mask``
         arrays as side a, as :meth:`encode` does — runs the pipeline once
@@ -232,23 +237,21 @@ class TMN(TrajectoryPairModel):
         x_a = self.embed_points(points_a)
         x_b = x_a if self_pair else self.embed_points(points_b)
         if self.config.matching:
-            m_ab, p_ab = cross_match(x_a, x_b, mask_a=mask_a, mask_b=mask_b)
-            in_a = concat([x_a, m_ab], axis=-1)
-            if self_pair:
-                p_ba = p_ab
-            else:
-                m_ba, p_ba = cross_match(x_b, x_a, mask_a=mask_b, mask_b=mask_a)
-                in_b = concat([x_b, m_ba], axis=-1)
-            self._last_patterns = (p_ab.data, p_ba.data)
+            (m_a, p_a), (m_b, p_b) = cross_match(x_a, x_b, mask_a=mask_a, mask_b=mask_b)
+            self._last_patterns = (p_a.data, p_b.data)
+            x_a = concat([x_a, m_a], axis=-1)
+            x_b = x_a if self_pair else concat([x_b, m_b], axis=-1)
         else:
             self._last_patterns = None
-            in_a, in_b = x_a, x_b
-        z_a, _ = self.lstm(in_a, mask=mask_a)
-        out_a = self.mlp(z_a)
+        z_a, _ = self.lstm(x_a, mask=mask_a)
         if self_pair:
-            return out_a, out_a
-        z_b, _ = self.lstm(in_b, mask=mask_b)
-        return out_a, self.mlp(z_b)
+            return z_a, z_a
+        z_b, _ = self.lstm(x_b, mask=mask_b)
+        return z_a, z_b
+
+    def head(self, rows: Tensor) -> Tensor:
+        """Eq. 13: the MLP, applied to gathered rows only."""
+        return self.mlp(rows)
 
     @property
     def last_match_patterns(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:

@@ -16,8 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..autograd import concat
-from ..metrics import MetricSpec, get_metric, pairwise_distance_matrix
-from ..nn import gather_last
+from ..metrics import MetricSpec, get_metric, pairwise_distance_matrix, prefix_distances
 from ..obs.log import get_logger
 from ..obs.memory import MemoryTracker, alloc_span, update_memory_gauges
 from ..obs.metrics import get_registry
@@ -264,17 +263,32 @@ class Trainer:
         )
 
     def _train_step(self, points, distances, samples: List[PairSample]):
-        """One optimisation step; returns ``(loss, pre-clip grad norm)``."""
+        """One optimisation step; returns ``(loss, pre-clip grad norm)``.
+
+        The loss reads each pair's final step and, for Eq. 15's prefix
+        supervision, the step of every ``sub_stride`` cut (10, 20, ...)
+        that both sides of the pair extend beyond.  The head maps only
+        those rows, of both sides in one call.
+        """
         from ..data.batching import pair_batch
 
+        n = len(samples)
         with trace_span("forward"):
             trajs_a = [points[s.anchor] for s in samples]
             trajs_b = [points[s.sample] for s in samples]
             pa, la, ma, pb, lb, mb = pair_batch(trajs_a, trajs_b)
             out_a, out_b = self.model.forward_pair(pa, la, ma, pb, lb, mb)
-            emb_a = gather_last(out_a, la)
-            emb_b = gather_last(out_b, lb)
-            pred = predicted_similarity(emb_a, emb_b)
+            shortest = np.minimum(la, lb)
+            top = shortest.max() if self.config.sub_loss else 0
+            cuts = np.arange(self.config.sub_stride, top, self.config.sub_stride)
+            cut_ks, cut_pairs = np.nonzero(shortest > cuts[:, None])  # cut-major
+            rows = np.concatenate([np.arange(n), cut_pairs])
+            steps = cuts[cut_ks] - 1
+            emb = self.model.head(concat([
+                out_a[rows, np.concatenate([la - 1, steps])],
+                out_b[rows, np.concatenate([lb - 1, steps])],
+            ], axis=0))
+            pred = predicted_similarity(emb[: rows.size], emb[rows.size :])
 
         with trace_span("loss"):
             anchor_idx = np.array([s.anchor for s in samples])
@@ -284,11 +298,12 @@ class Trainer:
                 distances[anchor_idx, sample_idx], self.effective_alpha
             )
 
-            loss = pair_loss(self.config.loss, pred, true, weights)
-            if self.config.sub_loss:
-                sub = self._sub_trajectory_loss(pa, la, pb, lb, out_a, out_b, weights)
-                if sub is not None:
-                    loss = loss + sub
+            loss = pair_loss(self.config.loss, pred[:n], true, weights)
+            if cut_pairs.size:
+                with trace_span("exact-metric"):
+                    prefix = prefix_distances(self.metric, pa, pb, cut_pairs, cuts[cut_ks])
+                true_sub = distance_to_similarity(prefix, self.effective_alpha)
+                loss = loss + pair_loss(self.config.loss, pred[n:], true_sub, weights[cut_pairs])
 
         with trace_span("backward"):
             self.optimizer.zero_grad()
@@ -297,35 +312,3 @@ class Trainer:
             grad_norm = clip_grad_norm(self.model.parameters(), self.config.grad_clip)
             self.optimizer.step()
         return float(loss.item()), float(grad_norm)
-
-    def _sub_trajectory_loss(self, pa, la, pb, lb, out_a, out_b, weights):
-        """Eq. 15: prefix supervision every ``sub_stride`` points.
-
-        For each cut c (10, 20, ... by default) and each pair whose both
-        sides extend beyond c, compares the step-c representations against
-        the exact distance of the two length-c prefixes.
-        """
-        stride = self.config.sub_stride
-        shortest = np.minimum(la, lb)
-        max_cut = int(shortest.max())
-        preds = []
-        trues = []
-        w_parts = []
-        for cut in range(stride, max_cut, stride):
-            idx = np.where(shortest > cut)[0]
-            if idx.size == 0:
-                continue
-            cut_len = np.full(idx.size, cut)
-            with trace_span("exact-metric"):
-                prefix_dist = self.metric.batch(pa[idx, :cut], pb[idx, :cut], cut_len, cut_len)
-            trues.append(distance_to_similarity(prefix_dist, self.effective_alpha))
-            emb_a = out_a[idx, cut - 1]
-            emb_b = out_b[idx, cut - 1]
-            preds.append(predicted_similarity(emb_a, emb_b))
-            w_parts.append(weights[idx])
-        if not preds:
-            return None
-        pred = concat(preds, axis=0)
-        true = np.concatenate(trues)
-        w = np.concatenate(w_parts)
-        return pair_loss(self.config.loss, pred, true, w)

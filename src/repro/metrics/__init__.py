@@ -16,6 +16,7 @@ from .matrix import (
     length_ordered_pairs,
     pad_trajectories,
     pairwise_distance_matrix,
+    prefix_distances,
 )
 from .point import as_points, cross_dist
 from .pruning import PrunedSearchStats, lb_kim, lb_pointwise, pruned_dtw_topk
@@ -35,6 +36,7 @@ __all__ = [
     "cross_distance_matrix",
     "pad_trajectories",
     "length_ordered_pairs",
+    "prefix_distances",
     "as_points",
     "cross_dist",
     "MetricSpec",

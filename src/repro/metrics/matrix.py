@@ -29,6 +29,7 @@ __all__ = [
     "length_ordered_pairs",
     "pairwise_distance_matrix",
     "cross_distance_matrix",
+    "prefix_distances",
 ]
 
 
@@ -82,6 +83,45 @@ def length_ordered_pairs(
     len_b = lengths_b[cols]
     order = np.lexsort((np.minimum(len_a, len_b), np.maximum(len_a, len_b)))
     return rows[order], cols[order]
+
+
+def prefix_distances(
+    metric: MetricSpec,
+    points_a: np.ndarray,
+    points_b: np.ndarray,
+    pairs: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """Exact distance of the length-``lengths[i]`` prefixes of both sides of
+    pair ``pairs[i]`` of a padded stack (the Eq. 15 sub-trajectory targets).
+
+    One ``metric.batch`` call with (P, K) read-out lists: each pair's table
+    is swept once, to its longest prefix, and read at all of its lengths.
+    Pairs go in longest first, so the DP sweep drops a pair once its reads
+    are done, and each pair's cost cells are computed only up to its
+    longest prefix.  Bit-identical to one call per prefix length.
+    """
+    pairs = np.asarray(pairs, dtype=int)
+    lengths = np.asarray(lengths, dtype=int)
+    if pairs.size == 0:
+        return np.empty(0)
+    by_pair = np.lexsort((lengths, pairs))
+    owners, slot_start, counts = np.unique(pairs[by_pair], return_index=True, return_counts=True)
+    group = np.repeat(np.arange(owners.size), counts)
+    slot = np.arange(pairs.size) - slot_start[group]
+    longest = lengths[by_pair][slot_start + counts - 1]
+    order = np.argsort(-longest, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    row = rank[group]
+    # Unused slots repeat the pair's longest read-out.
+    table = np.repeat(longest[order, None], counts.max(), axis=1)
+    table[row, slot] = lengths[by_pair]
+    top = int(longest[order[0]])
+    dists = metric.batch(points_a[owners[order], :top], points_b[owners[order], :top], table, table)
+    result = np.empty(pairs.size)
+    result[by_pair] = dists[row, slot]
+    return result
 
 
 def pairwise_distance_matrix(

@@ -43,7 +43,34 @@ def _batch_cost(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
+def _readout_cost(points_a, points_b, len_a, len_b) -> np.ndarray:
+    """:func:`_batch_cost` restricted to the cells the DP read-outs need.
+
+    With (P, K) read-out lists, a pair's cells beyond its longest read-outs
+    never reach them (the DP is causal): they stay zero, and the others are
+    computed one group of pairs with equal extents at a time.
+    """
+    len_a, len_b = np.asarray(len_a), np.asarray(len_b)
+    if len_a.ndim == 1:
+        return _batch_cost(points_a, points_b)
+    extents = np.stack([len_a.max(axis=1), len_b.max(axis=1)], axis=1)
+    cost = np.zeros((len(extents), *extents.max(axis=0, initial=1)))
+    for m, n in np.unique(extents, axis=0):
+        group = np.nonzero((extents[:, 0] == m) & (extents[:, 1] == n))[0]
+        cost[group, :m, :n] = _batch_cost(points_a[group, :m], points_b[group, :n])
+    return cost
+
+
 def _hausdorff_batch(points_a, points_b, len_a, len_b) -> np.ndarray:
+    len_a = np.asarray(len_a)
+    if len_a.ndim == 2:
+        # Not a DP, so no table to read several cells from: one pass per
+        # read-out column, each bit-identical to a call on cropped prefixes.
+        len_b = np.asarray(len_b)
+        return np.stack(
+            [_hausdorff_batch(points_a, points_b, len_a[:, k], len_b[:, k]) for k in range(len_a.shape[1])],
+            axis=1,
+        )
     dists = _batch_cost(points_a, points_b)
     pairs, la_max, lb_max = dists.shape
     col_idx = np.arange(lb_max)
@@ -69,6 +96,9 @@ class MetricSpec:
         ``f(a, b) -> float`` on raw (n, 2) arrays.
     batch:
         ``f(points_a, points_b, len_a, len_b) -> (P,)`` on padded stacks.
+        The lengths may also be (P, K) read-out lists: entry ``[p, k]``
+        is then the distance of pair p's prefixes of lengths
+        ``len_a[p, k]`` and ``len_b[p, k]``, all from one call.
     params:
         The resolved metric parameters (eps / gap) for provenance.
     """
@@ -102,14 +132,14 @@ def get_metric(
     if key == "dtw":
 
         def batch(pa, pb, la, lb):
-            return _dp.dtw_batch(_batch_cost(pa, pb), la, lb)
+            return _dp.dtw_batch(_readout_cost(pa, pb, la, lb), la, lb)
 
         return MetricSpec("dtw", dtw, batch)
 
     if key == "frechet":
 
         def batch(pa, pb, la, lb):
-            return _dp.frechet_batch(_batch_cost(pa, pb), la, lb)
+            return _dp.frechet_batch(_readout_cost(pa, pb, la, lb), la, lb)
 
         return MetricSpec("frechet", frechet, batch)
 
@@ -123,9 +153,9 @@ def get_metric(
             return erp(a, b, gap=gap_point)
 
         def batch(pa, pb, la, lb):
-            cost = _batch_cost(pa, pb)
-            gap_a = np.sqrt(((pa - gap_point) ** 2).sum(axis=-1))
-            gap_b = np.sqrt(((pb - gap_point) ** 2).sum(axis=-1))
+            cost = _readout_cost(pa, pb, la, lb)
+            gap_a = np.sqrt(((pa[:, : cost.shape[1]] - gap_point) ** 2).sum(axis=-1))
+            gap_b = np.sqrt(((pb[:, : cost.shape[2]] - gap_point) ** 2).sum(axis=-1))
             return _dp.erp_batch(cost, gap_a, gap_b, la, lb)
 
         return MetricSpec("erp", scalar, batch, params={"gap": tuple(gap_point)})
@@ -137,7 +167,7 @@ def get_metric(
             return edr(a, b, eps=tol)
 
         def batch(pa, pb, la, lb):
-            match = _batch_cost(pa, pb) <= tol
+            match = _readout_cost(pa, pb, la, lb) <= tol
             return _dp.edr_batch(match, la, lb)
 
         return MetricSpec("edr", scalar, batch, params={"eps": tol})
@@ -149,7 +179,7 @@ def get_metric(
             return lcss(a, b, eps=tol)
 
         def batch(pa, pb, la, lb):
-            match = _batch_cost(pa, pb) <= tol
+            match = _readout_cost(pa, pb, la, lb) <= tol
             counts = _dp.lcss_batch(match, la, lb)
             shorter = np.minimum(np.asarray(la), np.asarray(lb))
             return 1.0 - counts / shorter

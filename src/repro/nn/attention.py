@@ -41,17 +41,25 @@ def match_pattern(
     mask_a, mask_b:
         Boolean validity masks of shape ``(B, T)`` (or ``(T,)``).
     """
-    scores = x_a @ x_b.swapaxes(-1, -2)
-    if mask_b is not None:
-        mask_b = np.asarray(mask_b, dtype=bool)
-        key_mask = np.expand_dims(mask_b, axis=-2)  # (..., 1, T_b)
-        pattern = masked_softmax(scores, np.broadcast_to(key_mask, scores.shape), axis=-1)
-    else:
-        pattern = softmax(scores, axis=-1)
-    if mask_a is not None:
-        mask_a = np.asarray(mask_a, dtype=float)
-        pattern = pattern * Tensor(np.expand_dims(mask_a, axis=-1))
-    return pattern
+    return _pattern(x_a @ x_b.swapaxes(-1, -2), mask_a, mask_b)
+
+
+def _pattern(scores: Tensor, mask_a, mask_b) -> Tensor:
+    """Softmax of ``scores`` over the valid points of b (columns), for each
+    valid point of a (rows); padded rows are all zero."""
+    if mask_a is None and mask_b is None:
+        return softmax(scores, axis=-1)
+    rows = np.ones(scores.shape[:-1], bool) if mask_a is None else np.asarray(mask_a, dtype=bool)
+    cols = np.ones(scores.shape[:-2] + scores.shape[-1:], bool) if mask_b is None else np.asarray(mask_b, dtype=bool)
+    return masked_softmax(scores, np.expand_dims(rows, -1) & np.expand_dims(cols, -2), axis=-1)
+
+
+def _discrepancy(x: Tensor, other: Tensor, pattern: Tensor, mask) -> Tuple[Tensor, Tensor]:
+    """``(M, P)`` of one side, ``M = X - P X_other``; padded rows stay zero."""
+    discrepancy = x - pattern @ other
+    if mask is not None:
+        discrepancy = discrepancy * Tensor(np.expand_dims(np.asarray(mask, dtype=float), axis=-1))
+    return discrepancy, pattern
 
 
 def cross_match(
@@ -59,29 +67,26 @@ def cross_match(
     x_b: Tensor,
     mask_a: Optional[np.ndarray] = None,
     mask_b: Optional[np.ndarray] = None,
-) -> Tuple[Tensor, Tensor]:
-    """The TMN matching mechanism (Eq. 6–11).
+) -> Tuple[Tuple[Tensor, Tensor], Tuple[Tensor, Tensor]]:
+    """The TMN matching mechanism (Eq. 6–11), both directions at once.
 
     Computes, for every point of ``T_a``, the attention-weighted summary of
     ``T_b``'s points (``S_{a<-b}``, Eq. 9–10) and the discrepancy
-    ``M_{a<-b} = X_a − S_{a<-b}`` (Eq. 11).  The paper presents Eq. 9–10 as
-    an expansion to ``(m, m, d)`` followed by a sum over ``j``; that is
-    algebraically the matrix product ``P·X_b`` computed here.
+    ``M_{a<-b} = X_a − S_{a<-b}`` (Eq. 11), and the same for ``T_b``.  The
+    paper's (m, m, d) expansion summed over ``j`` is the product ``P·X_b``.
+    ``X_b X_a^T`` is the transpose of ``X_a X_b^T``, so both directions
+    share one score matmul and its backward.  A self-pair (``x_b`` is
+    ``x_a``, same mask) has one direction, returned for both sides.
 
-    Returns
-    -------
-    (M, P):
-        The discrepancy tensor ``M_{a<-b}`` with the same shape as ``x_a``,
-        and the match pattern ``P_{a<-b}`` for inspection/visualisation.
+    Returns ``((M_{a<-b}, P_{a<-b}), (M_{b<-a}, P_{b<-a}))``: per side, the
+    discrepancy (shaped like that side's ``x``) and the match pattern.
     """
-    pattern = match_pattern(x_a, x_b, mask_a=mask_a, mask_b=mask_b)
-    summary = pattern @ x_b  # S_{a<-b}
-    discrepancy = x_a - summary  # M_{a<-b}
-    if mask_a is not None:
-        # Keep padded rows exactly zero so downstream masking stays clean.
-        keep = np.expand_dims(np.asarray(mask_a, dtype=float), axis=-1)
-        discrepancy = discrepancy * Tensor(keep)
-    return discrepancy, pattern
+    scores = x_a @ x_b.swapaxes(-1, -2)
+    side_a = _discrepancy(x_a, x_b, _pattern(scores, mask_a, mask_b), mask_a)
+    if x_b is x_a and mask_b is mask_a:
+        return side_a, side_a
+    pattern_b = _pattern(scores.swapaxes(-1, -2), mask_b, mask_a)
+    return side_a, _discrepancy(x_b, x_a, pattern_b, mask_b)
 
 
 class SelfAttention(Module):

@@ -58,9 +58,7 @@ class Linear(Module):
 class MLP(Module):
     """Multi-layer perceptron: Linear → activation → ... → Linear.
 
-    The paper applies an MLP to every LSTM output row (Eq. 13); because our
-    Linear broadcasts over leading axes, the same module handles (B, T, d)
-    inputs directly.
+    Row-wise, as Linear broadcasts over leading axes: TMN's Eq. 13 head.
     """
 
     def __init__(

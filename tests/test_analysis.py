@@ -350,7 +350,7 @@ class TestShapeChecker:
                     x_a = self.act(self.point_embed(Tensor(pa)))
                     x_b = self.act(self.point_embed(Tensor(pb)))
                     if self.config.matching:
-                        m_ab, _ = cross_match(x_a, x_b, mask_a=ma, mask_b=mb)
+                        (m_ab, _), _ = cross_match(x_a, x_b, mask_a=ma, mask_b=mb)
                         in_a = concat([x_a, m_ab], axis=-1)
                     else:
                         in_a = x_a
@@ -368,6 +368,52 @@ class TestShapeChecker:
         text = " ".join(v.message for v in violations)
         assert "lstm" in text.lower() or "LSTM" in text
         assert "mlp" in text.lower() or "MLP" in text
+
+    def test_flags_miswired_head(self):
+        """The same off-by-one MLP, applied in ``head`` to rows gathered
+        from the states ``forward_pair`` returns."""
+        source = textwrap.dedent(
+            """\
+            import numpy as np
+            from repro.nn import LSTM, MLP, LeakyReLU, Linear, Module, cross_match
+            from repro.autograd import Tensor, concat
+
+            class BadHead(Module):
+                def __init__(self, config=None):
+                    super().__init__()
+                    self.config = config
+                    d = self.config.hidden_dim
+                    d_hat = self.config.embed_dim
+                    self.point_embed = Linear(2, d_hat)
+                    self.act = LeakyReLU(0.1)
+                    self.lstm = LSTM(2 * d_hat if self.config.matching else d_hat, d)
+                    self.mlp = MLP([d + 1, d, d])  # BUG: off-by-one head
+
+                def forward_pair(self, pa, ma, pb, mb):
+                    x_a = self.act(self.point_embed(Tensor(pa)))
+                    x_b = self.act(self.point_embed(Tensor(pb)))
+                    if self.config.matching:
+                        (m_a, _), (m_b, _) = cross_match(x_a, x_b, mask_a=ma, mask_b=mb)
+                        x_a = concat([x_a, m_a], axis=-1)
+                        x_b = concat([x_b, m_b], axis=-1)
+                    z_a, _ = self.lstm(x_a, mask=ma)
+                    z_b, _ = self.lstm(x_b, mask=mb)
+                    return z_a, z_b
+
+                def head(self, rows):
+                    return self.mlp(rows)
+            """
+        )
+        tree = ast.parse(source)
+        cls = next(n for n in tree.body if isinstance(n, ast.ClassDef))
+        violations = list(check_module_wiring(cls, "bad.py"))
+        assert violations
+        assert all(v.rule == "S001" for v in violations)
+        # Only the head is miswired, in both matching scenarios.
+        head_line = next(i for i, line in enumerate(source.splitlines(), 1) if "self.mlp(rows)" in line)
+        assert {v.line for v in violations} == {head_line}
+        assert all("self.mlp" in v.message for v in violations)
+        assert {"config.matching=True" in v.message for v in violations} == {True, False}
 
 
 class TestEntryPoints:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.autograd import Tensor, check_gradients, is_grad_enabled, no_grad
+from repro.autograd import Tensor, check_gradients, concat, is_grad_enabled, no_grad
 from repro.core import TMN, TMNConfig
 from repro.core.loss import pair_loss
 from repro.core.similarity import predicted_similarity
@@ -310,7 +310,8 @@ class TestGraphRelease:
         trajs = [rng.normal(size=(int(rng.integers(4, 9)), 2)) for _ in range(6)]
         pa, la, ma, pb, lb, mb = pair_batch(trajs[:3], trajs[3:])
         out_a, out_b = model.forward_pair(pa, la, ma, pb, lb, mb)
-        pred = predicted_similarity(gather_last(out_a, la), gather_last(out_b, lb))
+        emb = model.head(concat([gather_last(out_a, la), gather_last(out_b, lb)], axis=0))
+        pred = predicted_similarity(emb[:3], emb[3:])
         loss = pair_loss("mse", pred, np.full(3, 0.5), np.ones(3))
         return model, out_a, loss
 

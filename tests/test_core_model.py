@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor, concat, no_grad
 from repro.core import TMN, TMNConfig, pair_cross_distance_matrix, pair_distance_matrix
 from repro.core import model as model_module
 from repro.data import pad_batch, pair_batch
@@ -166,9 +166,11 @@ class TestSelfPairEncode:
         def grads(side_b):
             model.zero_grad()
             out_a, out_b = model.forward_pair(points, lengths, mask, *side_b)
-            loss = (gather_last(out_a, lengths) * Tensor(w_a)).sum() + (
-                gather_last(out_b, lengths) * Tensor(w_b)
-            ).sum()
+            # One head call over both sides' rows, as Trainer._train_step.
+            emb = model.head(
+                concat([gather_last(out_a, lengths), gather_last(out_b, lengths)], axis=0)
+            )
+            loss = (emb[:4] * Tensor(w_a)).sum() + (emb[4:] * Tensor(w_b)).sum()
             loss.backward()
             return {name: p.grad.copy() for name, p in model.named_parameters()}
 

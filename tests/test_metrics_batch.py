@@ -11,6 +11,7 @@ from repro.metrics import (
     length_ordered_pairs,
     pad_trajectories,
     pairwise_distance_matrix,
+    prefix_distances,
 )
 from repro.metrics._dp import dtw_batch, edr_batch, erp_batch, frechet_batch, lcss_batch
 from repro.metrics.point import cross_dist
@@ -207,6 +208,83 @@ class TestDiagonalDriver:
         got = spec.batch(pa, pb, la, lb)
         expected = [spec(a, b) for a, b in zip(trajs_a, trajs_b)]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+class TestReadOutLists:
+    """(P, K) lengths read K cells of each pair's table in one sweep."""
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_prefix_cells_bit_identical_to_one_call_per_cut(self, name, rng):
+        spec = get_metric(name, eps=0.8)
+        pa = rng.normal(size=(5, 30, 2))
+        pb = rng.normal(size=(5, 30, 2))
+        cuts = np.array([1, 4, 10, 17, 25])
+        lengths = np.tile(cuts, (5, 1))
+        got = spec.batch(pa[:, :25], pb[:, :25], lengths, lengths)
+        assert got.shape == (5, cuts.size)
+        for k, cut in enumerate(cuts):
+            cut_len = np.full(5, cut)
+            expected = spec.batch(pa[:, :cut], pb[:, :cut], cut_len, cut_len)
+            np.testing.assert_array_equal(got[:, k], expected)
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_unequal_read_outs_match_scalar(self, name, rng):
+        spec = get_metric(name, eps=0.8)
+        pa = rng.normal(size=(2, 9, 2))
+        pb = rng.normal(size=(2, 7, 2))
+        len_a = np.array([[9, 3, 1], [2, 5, 9]])
+        len_b = np.array([[7, 6, 2], [7, 1, 4]])
+        got = spec.batch(pa, pb, len_a, len_b)
+        for p in range(2):
+            for k in range(3):
+                expected = spec(pa[p, : len_a[p, k]], pb[p, : len_b[p, k]])
+                assert got[p, k] == pytest.approx(expected, rel=1e-12), (p, k)
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_packed_sweep_matches_scalar(self, name, rng):
+        """Pairs ordered longest first are dropped as their reads finish."""
+        spec = get_metric(name, eps=0.8)
+        len_a = np.array([[12, 3], [9, 9], [4, 7], [2, 1]])
+        len_b = np.array([[11, 5], [8, 2], [6, 1], [1, 3]])
+        pa = rng.normal(size=(4, 12, 2))
+        pb = rng.normal(size=(4, 11, 2))
+        got = spec.batch(pa, pb, len_a, len_b)
+        for p in range(4):
+            for k in range(2):
+                expected = spec(pa[p, : len_a[p, k]], pb[p, : len_b[p, k]])
+                assert got[p, k] == pytest.approx(expected, rel=1e-12), (p, k)
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_prefix_distances_bit_identical_to_one_call_per_length(self, name, rng):
+        spec = get_metric(name, eps=0.8)
+        pa = rng.normal(size=(6, 20, 2))
+        pb = rng.normal(size=(6, 20, 2))
+        pairs = np.array([4, 0, 4, 2, 5, 0, 4, 3])
+        lengths = np.array([5, 10, 15, 5, 20, 15, 10, 1])
+        got = prefix_distances(spec, pa, pb, pairs, lengths)
+        for i, (p, c) in enumerate(zip(pairs, lengths)):
+            expected = spec.batch(pa[[p], :c], pb[[p], :c], np.array([c]), np.array([c]))
+            assert got[i] == expected[0], (p, c)
+
+    def test_prefix_distances_is_one_batch_call(self, rng):
+        spy = BatchSpy(get_metric("dtw"))
+        pa = rng.normal(size=(3, 9, 2))
+        got = prefix_distances(spy.spec, pa, pa[::-1], np.array([0, 1, 1, 2]), np.array([3, 3, 9, 6]))
+        assert len(spy.calls) == 1 and got.shape == (4,)
+        # Longest first, each pair cropped to its longest prefix.
+        width_a, width_b, la, lb = spy.calls[0]
+        assert (width_a, width_b) == (9, 9)
+        np.testing.assert_array_equal(la, [[3, 9], [6, 6], [3, 3]])
+        assert prefix_distances(spy.spec, pa, pa, np.array([], int), np.array([], int)).shape == (0,)
+
+    def test_read_out_shapes_must_agree(self):
+        cost = np.zeros((2, 3, 3))
+        with pytest.raises(ValueError):
+            dtw_batch(cost, np.ones((2, 2), int), np.ones((2, 3), int))
+        with pytest.raises(ValueError):
+            dtw_batch(cost, np.ones((3, 2), int), np.ones((3, 2), int))
+        with pytest.raises(ValueError):
+            dtw_batch(cost, np.ones((2, 2, 1), int), np.ones((2, 2, 1), int))
 
 
 class TestLengthOrderedChunks:

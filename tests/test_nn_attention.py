@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients
+from repro.autograd import Tensor, check_gradients, concat
 from repro.nn import SelfAttention, cross_match, match_pattern
 
 
@@ -47,14 +47,14 @@ class TestCrossMatch:
     def test_shapes(self, rng):
         xa = Tensor(rng.normal(size=(2, 5, 3)))
         xb = Tensor(rng.normal(size=(2, 5, 3)))
-        m, p = cross_match(xa, xb)
+        (m, p), _ = cross_match(xa, xb)
         assert m.shape == (2, 5, 3)
         assert p.shape == (2, 5, 5)
 
     def test_discrepancy_is_x_minus_summary(self, rng):
         xa = Tensor(rng.normal(size=(1, 4, 3)))
         xb = Tensor(rng.normal(size=(1, 4, 3)))
-        m, p = cross_match(xa, xb)
+        (m, p), _ = cross_match(xa, xb)
         summary = p.data @ xb.data
         np.testing.assert_allclose(m.data, xa.data - summary, atol=1e-12)
 
@@ -62,13 +62,13 @@ class TestCrossMatch:
         xa = Tensor(rng.normal(size=(1, 4, 3)))
         xb = Tensor(rng.normal(size=(1, 4, 3)))
         mask_a = np.array([[True, True, False, False]])
-        m, _ = cross_match(xa, xb, mask_a=mask_a)
+        (m, _), _ = cross_match(xa, xb, mask_a=mask_a)
         np.testing.assert_allclose(m.data[0, 2:], np.zeros((2, 3)))
 
     def test_self_match_discrepancy_small_for_identical_points(self):
         # All points equal: the weighted summary is exactly the point itself.
         pts = np.ones((1, 5, 3))
-        m, _ = cross_match(Tensor(pts), Tensor(pts))
+        (m, _), _ = cross_match(Tensor(pts), Tensor(pts))
         np.testing.assert_allclose(m.data, np.zeros_like(pts), atol=1e-12)
 
     def test_gradcheck(self, rng):
@@ -76,20 +76,50 @@ class TestCrossMatch:
         xb = rng.normal(size=(2, 3, 2))
         ma = np.array([[1, 1, 0], [1, 1, 1]], bool)
         mb = np.array([[1, 0, 0], [1, 1, 1]], bool)
-        check_gradients(lambda a, b: cross_match(a, b, ma, mb)[0], [xa, xb], atol=1e-4)
+        check_gradients(lambda a, b: cross_match(a, b, ma, mb)[0][0], [xa, xb], atol=1e-4)
+
+    def test_gradcheck_both_sides(self, rng):
+        xa = rng.normal(size=(2, 3, 2))
+        xb = rng.normal(size=(2, 4, 2))
+        ma = np.array([[1, 1, 0], [1, 1, 1]], bool)
+        mb = np.array([[1, 0, 0, 0], [1, 1, 1, 1]], bool)
+
+        def both(a, b):
+            (m_a, _), (m_b, _) = cross_match(a, b, ma, mb)
+            return concat([m_a, m_b], axis=1)
+
+        check_gradients(both, [xa, xb], atol=1e-4)
+
+    def test_side_b_is_the_reverse_direction(self, rng):
+        """Side b, read from the shared scores, is the b<-a matching."""
+        xa = Tensor(rng.normal(size=(2, 5, 3)))
+        xb = Tensor(rng.normal(size=(2, 4, 3)))
+        ma = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], bool)
+        mb = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], bool)
+        _, (m_b, p_b) = cross_match(xa, xb, ma, mb)
+        p_ref = match_pattern(xb, xa, mask_a=mb, mask_b=ma).data
+        np.testing.assert_allclose(p_b.data, p_ref, rtol=0, atol=1e-12)
+        m_ref = (xb.data - p_ref @ xa.data) * mb[..., None]
+        np.testing.assert_allclose(m_b.data, m_ref, rtol=0, atol=1e-12)
+
+    def test_self_pair_returns_one_direction(self, rng):
+        x = Tensor(rng.normal(size=(2, 4, 3)))
+        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], bool)
+        side_a, side_b = cross_match(x, x, mask, mask)
+        assert side_b[0] is side_a[0] and side_b[1] is side_a[1]
 
     def test_padding_invariance(self, rng):
         """Extending both trajectories with padded points must not change
         the discrepancy on the real points (Section IV-B masking)."""
         xa = rng.normal(size=(1, 3, 2))
         xb = rng.normal(size=(1, 3, 2))
-        m_short, _ = cross_match(
+        (m_short, _), _ = cross_match(
             Tensor(xa), Tensor(xb), np.ones((1, 3), bool), np.ones((1, 3), bool)
         )
         xa_pad = np.concatenate([xa, np.zeros((1, 2, 2))], axis=1)
         xb_pad = np.concatenate([xb, np.zeros((1, 2, 2))], axis=1)
         mask = np.array([[True, True, True, False, False]])
-        m_pad, _ = cross_match(Tensor(xa_pad), Tensor(xb_pad), mask, mask)
+        (m_pad, _), _ = cross_match(Tensor(xa_pad), Tensor(xb_pad), mask, mask)
         np.testing.assert_allclose(m_pad.data[:, :3], m_short.data, atol=1e-12)
 
 
