@@ -67,6 +67,10 @@ def _run():
         m=M,
         ef_construction=EF_CONSTRUCTION,
         ef_search=EF_SEARCH,
+        # The graph at every scale: the recall floor and the process-pool
+        # speedup are stated for HNSW search, and at SMOKE scale (500
+        # rows per shard) the default threshold would scan instead.
+        brute_threshold=0,
         check_sample=48,
         seed=0,
     )

@@ -15,6 +15,15 @@ any number of reader threads may query while one writer inserts.  A query
 observes the index either before or after a concurrent insert, never a
 half-linked graph, and never returns an id ``>= len(index)`` as seen at
 the moment the query completed.
+
+Storage: the vectors live in one contiguous ``(capacity, dim)`` float64
+table, grown by doubling.  :meth:`HNSWIndex.add` copies a vector into its
+row and never writes that row again, so the read-only view
+:attr:`HNSWIndex.vectors` hands out is a stable snapshot — an exact scan
+over it runs outside the lock, and a concurrent insert that reallocates
+the table leaves the view on the old buffer untouched.  Graph search gathers
+an expanded node's unvisited neighbours with one ``take`` and scores them
+with one :func:`sq_distances` call; the heap decisions stay sequential.
 """
 
 from __future__ import annotations
@@ -29,7 +38,14 @@ from ..obs.lockstats import new_rlock
 from ..obs.metrics import get_registry
 from ..obs.trace import annotate
 
-__all__ = ["HNSWIndex"]
+__all__ = ["HNSWIndex", "sq_distances"]
+
+
+def sq_distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared L2 from ``point`` to every row of ``rows`` (same ordering as
+    L2, no root).  The one distance kernel of graph search and pruning."""
+    diff = rows - point
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 class HNSWIndex:
@@ -60,7 +76,9 @@ class HNSWIndex:
         self.ef_construction = ef_construction
         self._rng = np.random.default_rng(seed)
         self._level_mult = 1.0 / math.log(m)
-        self.vectors: List[np.ndarray] = []
+        #: Rows ``[:_n]`` hold the vectors in id order; the rest is slack.
+        self._table = np.zeros((0, dim))
+        self._n = 0
         # neighbors[layer][node] -> list of neighbor ids
         self._neighbors: List[Dict[int, List[int]]] = []
         self._entry: Optional[int] = None
@@ -71,50 +89,67 @@ class HNSWIndex:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self.vectors)
+            return self._n
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Read-only ``(n, dim)`` view of every stored vector, row = id.
+
+        Stored rows never change, so the view stays a consistent snapshot
+        while later inserts append (or move the table) behind it.
+        """
+        with self._lock:
+            view = self._table[: self._n]
+        view.flags.writeable = False
+        return view
 
     @property
     def nbytes(self) -> int:
-        """Exact payload bytes: vector buffers + 8 bytes per graph link.
+        """Exact payload bytes: stored vectors + 8 bytes per graph link.
 
-        Vector data is the numpy buffer size; each neighbour link is
+        Vector data is ``n * dim * 8`` (the table's unused slack rows are
+        not payload); each neighbour link is
         accounted as one 8-byte id (what a packed adjacency array would
         store), deliberately excluding Python container overhead so the
         number tracks the structure's information content — the figure
         the bytes-per-trajectory gate compares across compression PRs.
         """
         with self._lock:
-            vector_bytes = sum(v.nbytes for v in self.vectors)
+            vector_bytes = self._n * self.dim * self._table.itemsize
             link_bytes = 8 * sum(
                 len(links) for layer in self._neighbors for links in layer.values()
             )
         return vector_bytes + link_bytes
 
     # ------------------------------------------------------------------
-    def _distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        diff = a - b
-        return float(diff @ diff)  # squared L2: same ordering, cheaper
-
     def _random_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)
 
     def _search_layer(
         self, query: np.ndarray, entry: int, ef: int, layer: int
     ) -> List[Tuple[float, int]]:
-        """Beam search one layer; returns up to ``ef`` (dist, id) ascending."""
+        """Beam search one layer; returns up to ``ef`` (dist, id) ascending.
+
+        Each expanded node's unvisited neighbours are scored in one
+        vectorised call; they are then offered to the heaps in link order,
+        exactly as a one-at-a-time scan would.
+        """
+        table = self._table
+        links_of = self._neighbors[layer]
         visited: Set[int] = {entry}
-        d0 = self._distance(query, self.vectors[entry])
+        d0 = float(sq_distances(table[entry : entry + 1], query)[0])
         candidates = [(d0, entry)]  # min-heap by distance
         best = [(-d0, entry)]  # max-heap of current ef best
         while candidates:
             dist, node = heapq.heappop(candidates)
             if dist > -best[0][0]:
                 break
-            for neighbor in self._neighbors[layer].get(node, ()):
-                if neighbor in visited:
-                    continue
-                visited.add(neighbor)
-                d = self._distance(query, self.vectors[neighbor])
+            fresh = [x for x in links_of.get(node, ()) if x not in visited]
+            if not fresh:
+                continue
+            visited.update(fresh)
+            dists = sq_distances(table.take(fresh, axis=0), query).tolist()
+            for d, neighbor in zip(dists, fresh):
                 if len(best) < ef or d < -best[0][0]:
                     heapq.heappush(candidates, (d, neighbor))
                     heapq.heappush(best, (-d, neighbor))
@@ -127,7 +162,7 @@ class HNSWIndex:
 
     # ------------------------------------------------------------------
     def add(self, vector: np.ndarray) -> int:
-        """Insert one vector; returns its id.  Safe under concurrent queries."""
+        """Insert a copy of one vector; returns its id.  Safe under concurrent queries."""
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise ValueError(f"expected vector of dim {self.dim}, got {vector.shape}")
@@ -135,8 +170,15 @@ class HNSWIndex:
             return self._add_locked(vector)
 
     def _add_locked(self, vector: np.ndarray) -> int:
-        node = len(self.vectors)
-        self.vectors.append(vector)
+        node = self._n
+        if node == len(self._table):
+            # Views handed out earlier keep the old buffer alive unchanged.
+            grown = np.empty((max(2 * node, 16), self.dim))
+            grown[:node] = self._table[:node]
+            self._table = grown
+        self._table[node] = vector
+        vector = self._table[node]  # search from the stored copy
+        self._n = node + 1
         get_registry().counter("index.hnsw.inserts").inc()
         level = self._random_level()
         while len(self._neighbors) <= level:
@@ -163,13 +205,11 @@ class HNSWIndex:
                 links = self._neighbors[l].setdefault(other, [])
                 links.append(node)
                 if len(links) > max_degree:
-                    # Prune the farthest link to keep degrees bounded.
-                    dists = [
-                        (self._distance(self.vectors[other], self.vectors[x]), x)
-                        for x in links
-                    ]
-                    dists.sort()
-                    self._neighbors[l][other] = [x for _, x in dists[:max_degree]]
+                    # Prune the farthest link to keep degrees bounded:
+                    # nearest first, ties to the lower id.
+                    dists = sq_distances(self._table.take(links, axis=0), self._table[other])
+                    keep = np.lexsort((links, dists))[:max_degree]
+                    self._neighbors[l][other] = [links[i] for i in keep.tolist()]
             entry = chosen[0] if chosen else entry
 
         if level > self._max_level:
@@ -186,8 +226,9 @@ class HNSWIndex:
         """One consistent, picklable snapshot of the whole graph.
 
         Everything :meth:`from_state` needs to answer queries identically
-        to this instance: vectors, per-layer adjacency, entry point and
-        construction parameters.  The sharded serving tier ships these
+        to this instance: the ``(n, dim)`` vector table, per-layer
+        adjacency, entry point, construction parameters and the level
+        sampler's state.  The sharded serving tier ships these
         across the process boundary so a coordinator can rebuild a
         worker's shard in-process without re-inserting.
         """
@@ -196,13 +237,14 @@ class HNSWIndex:
                 "dim": self.dim,
                 "m": self.m,
                 "ef_construction": self.ef_construction,
-                "vectors": [np.array(v) for v in self.vectors],
+                "vectors": self._table[: self._n].copy(),
                 "neighbors": [
                     {node: list(links) for node, links in layer.items()}
                     for layer in self._neighbors
                 ],
                 "entry": self._entry,
                 "max_level": self._max_level,
+                "rng": self._rng.bit_generator.state,
             }
 
     @classmethod
@@ -210,20 +252,23 @@ class HNSWIndex:
         """Rebuild an index from :meth:`state_dict` output.
 
         Queries on the rebuilt index traverse the identical graph, so
-        results match the source instance exactly (the RNG stream starts
-        fresh — only future inserts can diverge).
+        results match the source instance exactly, and the level sampler
+        resumes where the source's stood: further inserts build the graph
+        the source would have built.
         """
         index = cls(
             state["dim"], m=state["m"], ef_construction=state["ef_construction"]
         )
         with index._lock:
-            index.vectors = [np.asarray(v, dtype=np.float64) for v in state["vectors"]]
+            table = np.array(state["vectors"], dtype=np.float64).reshape(-1, index.dim)
+            index._table, index._n = table, len(table)
             index._neighbors = [
                 {int(node): list(links) for node, links in layer.items()}
                 for layer in state["neighbors"]
             ]
             index._entry = state["entry"]
             index._max_level = state["max_level"]
+            index._rng.bit_generator.state = state["rng"]
         return index
 
     def query(self, vector: np.ndarray, k: int = 1, ef: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -262,8 +307,8 @@ class HNSWIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         if self._entry is None:
             raise RuntimeError("index is empty")
-        if not 1 <= k <= len(self.vectors):
-            raise ValueError(f"k must be in [1, {len(self.vectors)}]")
+        if not 1 <= k <= self._n:
+            raise ValueError(f"k must be in [1, {self._n}]")
         ef = max(ef if ef is not None else self.ef_construction, k)
         entry = self._entry
         visited = 0

@@ -109,18 +109,13 @@ class SelfAttention(Module):
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         """Apply self-attention over ``(B, T, dim)`` input.
 
-        ``mask`` (B, T) hides padded positions from both queries and keys.
+        ``mask`` (B, T) hides padded positions from both queries and keys:
+        one masked softmax whose padded rows are all zero, as in
+        :func:`cross_match`.
         """
         q = x @ self.w_q
         k = x @ self.w_k
         v = x @ self.w_v
         # dim is a positive integer hyperparameter, never zero.
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.dim))  # lint: allow(N002)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            key_mask = np.broadcast_to(np.expand_dims(mask, -2), scores.shape)
-            weights = masked_softmax(scores, key_mask, axis=-1)
-            weights = weights * Tensor(np.expand_dims(mask, -1).astype(float))
-        else:
-            weights = softmax(scores, axis=-1)
-        return weights @ v
+        return _pattern(scores, mask, mask) @ v

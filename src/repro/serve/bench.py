@@ -47,7 +47,7 @@ from ..obs.slo import (
 )
 from ..obs.trace import get_tracer
 from .cache import trajectory_key
-from .engine import ServeResult, SimilarityServer
+from .engine import BRUTE_THRESHOLD, ServeResult, SimilarityServer
 
 __all__ = [
     "ServeBenchResult",
@@ -555,7 +555,7 @@ def run_shard_bench(
     ef_search: Optional[int] = None,
     batch_size: int = 32,
     max_wait_ms: float = 2.0,
-    brute_threshold: int = 64,
+    brute_threshold: int = BRUTE_THRESHOLD,
     shard_deadline_s: float = 5.0,
     strategy: str = "round-robin",
     check_sample: int = 64,

@@ -5,8 +5,10 @@ caller threads over a list of *shards*, each holding the embeddings of a
 slice of the stored trajectories.  A shard is one of two kinds:
 
 - :class:`LocalShard` — an in-process :class:`~repro.index.hnsw.HNSWIndex`
-  plus the global id of each of its nodes, searched brute force below
-  ``brute_threshold`` and through the graph above it.  It is the only
+  plus the global id of each of its nodes, answered by an exact scan of
+  the index's vector table up to ``brute_threshold`` nodes
+  (:data:`BRUTE_THRESHOLD`, the measured scan/graph crossover) and
+  through the graph above it.  It is the only
   shard of :class:`SimilarityServer`, whose queries encode on the
   server's own :class:`MicroBatcher`;
 - :class:`~repro.serve.shard.ProcessShard` — a spawned worker process
@@ -62,6 +64,7 @@ from .batcher import MicroBatcher
 from .cache import EmbeddingCache, trajectory_key
 
 __all__ = [
+    "BRUTE_THRESHOLD",
     "LocalShard",
     "ServeResult",
     "Shard",
@@ -73,6 +76,12 @@ __all__ = [
 ]
 
 _LOG = get_logger("repro.serve.engine")
+
+#: Default ``brute_threshold``: the largest shard size, a power of two,
+#: at which an exact scan of the contiguous vector table still beats HNSW
+#: graph search (TMN embeddings, dim 32; the probe is in DESIGN.md §11).
+#: Below it the scan is both faster and exact.
+BRUTE_THRESHOLD = 4096
 
 
 def exact_metric_topk(
@@ -97,13 +106,23 @@ def brute_topk(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact ``(squared L2, gids)`` top-k of ``embedding`` over ``vectors`` rows.
 
-    A stable argsort, so ties resolve to the lowest row — the lowest
-    global id within one shard.  Shared by the in-process shard's brute
-    path and the fallback scan over a worker shard's retained block, so
-    both rank bit-identically.
+    Ranks exactly as a stable argsort of every row, so ties resolve to
+    the lowest row — the lowest global id within one shard — at the k-th
+    position too: a partition finds the k-th value, and every row not
+    above it (all rows tied with it included) is sorted stably.  Shared
+    by the in-process shard's scan and the fallback scan over a worker
+    shard's retained block, so both rank bit-identically.
     """
-    sq = ((vectors - embedding[None, :]) ** 2).sum(axis=1)
-    order = np.argsort(sq, kind="stable")[:k]
+    diff = vectors - embedding[None, :]
+    np.square(diff, out=diff)
+    sq = diff.sum(axis=1)
+    if 0 < k < len(sq):
+        kth = np.partition(sq, k - 1)[k - 1]
+        # ``not above`` rather than ``<=`` keeps NaN rows, as argsort does.
+        rows = np.flatnonzero(~(sq > kth))
+        order = rows[np.argsort(sq[rows], kind="stable")[:k]]
+    else:
+        order = np.argsort(sq, kind="stable")[:k]
     return sq[order], gids[order]
 
 
@@ -190,7 +209,7 @@ class _ShardSpec:
     m: int = 8
     ef_construction: int = 64
     ef_search: Optional[int] = None
-    brute_threshold: int = 64
+    brute_threshold: int = BRUTE_THRESHOLD
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
     idle_grace_ms: float = 0.5
@@ -241,14 +260,15 @@ class LocalShard(Shard):
 
     Node ``i`` stores global id ``gids[i]``, so ids assigned under the
     coordinator's store lock survive any interleaving of concurrent
-    inserts.  :meth:`search` is exact brute force below
-    ``brute_threshold`` (or for ``k`` over half the shard) and graph
-    search above it.  Worker processes search their slice with it too.
+    inserts.  :meth:`search` scans the index's vector table exactly while
+    the shard holds at most ``brute_threshold`` nodes (or for ``k`` over
+    half the shard) and searches the graph above that.  Worker processes
+    search their slice with it too.
     """
 
     def __init__(
         self, index: HNSWIndex, gids: Sequence[int] = (), *, ef_search: Optional[int] = None,
-        brute_threshold: int = 64, batcher: Optional[MicroBatcher] = None,
+        brute_threshold: int = BRUTE_THRESHOLD, batcher: Optional[MicroBatcher] = None,
     ):
         self.index: HNSWIndex = index
         self.batcher: Optional[MicroBatcher] = batcher
@@ -282,13 +302,13 @@ class LocalShard(Shard):
         comparable values; the coordinator takes the root once.
         """
         with self._lock:
-            n = len(self.index)
+            vectors = self.index.vectors
+            n = len(vectors)
             gids = self._gids[:n]
         if n == 0:
             return ShardAnswer(np.zeros(0), np.zeros(0, dtype=int), "brute")
         k = min(k, n)
         if n <= self.brute_threshold or k > n // 2:
-            vectors = np.asarray(self.index.vectors[:n])
             sq, found = brute_topk(vectors, gids, embedding, k)
             return ShardAnswer(sq, found, "brute")
         dists, ids = self.index.query(embedding, k=k, ef=self.ef_search)
@@ -339,9 +359,10 @@ class SimilarityServer:
     ef_search:
         HNSW beam width for queries (recall/latency trade-off).
     brute_threshold:
-        Below this database size the engine answers by brute force over
-        the embedding table instead of the graph (exact, and faster than
-        graph traversal at small N).
+        Largest shard size answered by an exact scan of the index's
+        vector table; larger shards search the HNSW graph.  The default,
+        :data:`BRUTE_THRESHOLD`, is the measured size up to which the
+        scan is also the faster of the two.
     fallback_metric:
         True trajectory metric used for degraded answers (name or
         :class:`MetricSpec`).
@@ -362,7 +383,7 @@ class SimilarityServer:
         m: int = 8,
         ef_construction: int = 64,
         ef_search: Optional[int] = None,
-        brute_threshold: int = 64,
+        brute_threshold: int = BRUTE_THRESHOLD,
         fallback_metric: Union[str, MetricSpec] = "dtw",
         degraded_scan_limit: int = 256,
         seed: int = 0,

@@ -59,6 +59,7 @@ from ..obs.trace import (
 )
 from .cache import trajectory_key
 from .engine import (
+    BRUTE_THRESHOLD,
     LocalShard,
     Shard,
     ShardAnswer,
@@ -845,7 +846,7 @@ class ShardedSimilarityServer(SimilarityServer):
         m: int = 8,
         ef_construction: int = 64,
         ef_search: Optional[int] = None,
-        brute_threshold: int = 64,
+        brute_threshold: int = BRUTE_THRESHOLD,
         fallback_metric: Union[str, MetricSpec] = "dtw",
         degraded_scan_limit: int = 256,
         slots: int = 64,

@@ -692,6 +692,10 @@ class TestNeverRaisesContract:
             "hnsw" in esc.origin_module and "LocalShard.search" in esc.chain
             for esc in model.escapes[impl]
         ), "expected an HNSWIndex escape through the in-process shard"
+        assert any(
+            "brute_topk" in esc.chain and "LocalShard.search" in esc.chain
+            for esc in model.escapes[impl]
+        ), "expected an escape through the in-process shard's exact scan"
 
     def test_model_proves_sharded_topk_never_raises(self):
         """The sharded coordinator carries the same contract as the engine.

@@ -1,10 +1,12 @@
 """Tests for the HNSW approximate nearest-neighbour index."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.index import knn_brute
-from repro.index.hnsw import HNSWIndex
+from repro.index.hnsw import HNSWIndex, sq_distances
 
 
 @pytest.fixture
@@ -38,6 +40,164 @@ class TestConstruction:
     def test_query_empty_index(self):
         with pytest.raises(RuntimeError):
             HNSWIndex(dim=2).query(np.zeros(2))
+
+
+def _one_distance(a, b):
+    """The index's distance kernel applied to a single pair."""
+    return float(sq_distances(a[None, :], b)[0])
+
+
+class ReferenceHNSW(HNSWIndex):
+    """Per-neighbour search and per-link prune: the oracle for the
+    vectorised :class:`HNSWIndex`.
+
+    One distance call per neighbour and per link, a tuple sort for
+    pruning; same distance kernel, same level sampling.  Graphs and
+    query answers must match :class:`HNSWIndex` exactly.
+    """
+
+    def _search_layer(self, query, entry, ef, layer):
+        vectors = self._table
+        visited = {entry}
+        d0 = _one_distance(vectors[entry], query)
+        candidates = [(d0, entry)]
+        best = [(-d0, entry)]
+        while candidates:
+            dist, node = heapq.heappop(candidates)
+            if dist > -best[0][0]:
+                break
+            for neighbor in self._neighbors[layer].get(node, ()):
+                if neighbor in visited:
+                    continue
+                visited.add(neighbor)
+                d = _one_distance(vectors[neighbor], query)
+                if len(best) < ef or d < -best[0][0]:
+                    heapq.heappush(candidates, (d, neighbor))
+                    heapq.heappush(best, (-d, neighbor))
+                    if len(best) > ef:
+                        heapq.heappop(best)
+        return sorted((-d, i) for d, i in best)
+
+    def _add_locked(self, vector):
+        node = self._n
+        self._table = np.vstack([self._table[:node], vector[None, :]])
+        self._n = node + 1
+        level = self._random_level()
+        while len(self._neighbors) <= level:
+            self._neighbors.append({})
+        for l in range(level + 1):
+            self._neighbors[l].setdefault(node, [])
+        if self._entry is None:
+            self._entry = node
+            self._max_level = level
+            return node
+        entry = self._entry
+        for l in range(self._max_level, level, -1):
+            entry = self._search_layer(vector, entry, ef=1, layer=l)[0][1]
+        for l in range(min(level, self._max_level), -1, -1):
+            candidates = self._search_layer(vector, entry, self.ef_construction, l)
+            max_degree = self.m * 2 if l == 0 else self.m
+            chosen = self._select_neighbors(candidates, max_degree)
+            self._neighbors[l][node] = list(chosen)
+            for other in chosen:
+                links = self._neighbors[l].setdefault(other, [])
+                links.append(node)
+                if len(links) > max_degree:
+                    dists = [
+                        (_one_distance(self._table[other], self._table[x]), x)
+                        for x in links
+                    ]
+                    dists.sort()
+                    self._neighbors[l][other] = [x for _, x in dists[:max_degree]]
+            entry = chosen[0] if chosen else entry
+        if level > self._max_level:
+            self._max_level = level
+            self._entry = node
+        return node
+
+
+def _clustered(rng, n, dim):
+    """Tight blobs with exact duplicates, so distance ties reach the prune."""
+    centres = rng.normal(scale=5.0, size=(6, dim))
+    pts = centres[rng.integers(0, 6, size=n)] + rng.normal(scale=0.05, size=(n, dim))
+    pts[1::7] = pts[0::7][: len(pts[1::7])]
+    return pts
+
+
+def _graph(index):
+    return index._entry, index._max_level, index._neighbors
+
+
+class TestVectorisedSearchEquivalence:
+    """The vectorised graph build and search equal the per-neighbour reference."""
+
+    @pytest.mark.parametrize("data", ["random", "clustered"])
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_graph_and_queries_match_reference(self, data, m):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(300, 6)) if data == "random" else _clustered(rng, 300, 6)
+        queries = np.concatenate([rng.normal(size=(10, 6)), pts[:5]])
+        index = HNSWIndex(dim=6, m=m, ef_construction=32, seed=3)
+        reference = ReferenceHNSW(dim=6, m=m, ef_construction=32, seed=3)
+        index.add_batch(pts)
+        reference.add_batch(pts)
+        assert _graph(index) == _graph(reference)
+        for ef in (1, 16, 64):
+            for q in queries:
+                d, i = index.query(q, k=min(ef, 10), ef=ef)
+                d_ref, i_ref = reference.query(q, k=min(ef, 10), ef=ef)
+                np.testing.assert_array_equal(i, i_ref)
+                np.testing.assert_array_equal(d, d_ref)
+
+
+class TestVectorTable:
+    def test_vectors_is_a_read_only_table_view(self, built):
+        index, pts = built
+        view = index.vectors
+        assert view.shape == pts.shape
+        np.testing.assert_array_equal(view, pts)
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+        assert index.nbytes >= pts.size * 8
+
+    def test_mutating_the_added_array_changes_nothing(self, rng):
+        pts = rng.normal(size=(80, 4))
+        queries = rng.normal(size=(10, 4))
+        index = HNSWIndex(dim=4, m=4, seed=2)
+        twin = HNSWIndex(dim=4, m=4, seed=2)
+        twin.add_batch(pts)
+        buffer = np.empty(4)
+        for p in pts:
+            buffer[:] = p
+            index.add(buffer)
+        buffer[:] = 1e6
+        np.testing.assert_array_equal(index.vectors, pts)
+        for ef in (1, 16):
+            d, i = index.query_batch(queries, k=3, ef=ef)
+            d_twin, i_twin = twin.query_batch(queries, k=3, ef=ef)
+            np.testing.assert_array_equal(i, i_twin)
+            np.testing.assert_array_equal(d, d_twin)
+
+    def test_from_state_then_add_matches_undumped_twin(self, rng):
+        pts = rng.normal(size=(120, 5))
+        queries = rng.normal(size=(12, 5))
+        twin = HNSWIndex(dim=5, m=4, ef_construction=16, seed=9)
+        dumped = HNSWIndex(dim=5, m=4, ef_construction=16, seed=9)
+        twin.add_batch(pts)
+        dumped.add_batch(pts[:50])
+        state = dumped.state_dict()
+        assert state["vectors"].shape == (50, 5)
+        rebuilt = HNSWIndex.from_state(state)
+        assert len(rebuilt._table) == 50  # no slack until the next add
+        rebuilt.add_batch(pts[50:])
+        assert len(rebuilt) == 120 and len(rebuilt._table) >= 120
+        np.testing.assert_array_equal(rebuilt.vectors, pts)
+        assert _graph(rebuilt) == _graph(twin)
+        assert rebuilt.nbytes == twin.nbytes
+        d, i = rebuilt.query_batch(queries, k=4)
+        d_twin, i_twin = twin.query_batch(queries, k=4)
+        np.testing.assert_array_equal(i, i_twin)
+        np.testing.assert_array_equal(d, d_twin)
 
 
 class TestSearchQuality:
@@ -204,6 +364,58 @@ class TestConcurrency:
             t.join()
         assert sorted(ids) == list(range(60))
         assert len(index) == 60
+
+    def test_vector_scans_across_table_growth(self, rng):
+        """Readers scan ``vectors`` views while a writer crosses several
+        capacity doublings; every view is a prefix of the stored rows and
+        stays one after the table moves."""
+        import threading
+
+        from repro.serve.engine import brute_topk
+
+        pts = rng.normal(size=(300, 4))
+        queries = rng.normal(size=(8, 4))
+        index = HNSWIndex(dim=4, m=4, ef_construction=8, seed=3)
+        index.add_batch(pts[:16])  # capacity 16: the next add doubles it
+        errors = []
+        views = []
+        stop = threading.Event()
+
+        def writer():
+            try:
+                for p in pts[16:]:
+                    index.add(p)
+            finally:
+                stop.set()
+
+        def reader(seed):
+            local = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    view = index.vectors
+                    n = len(view)
+                    assert n >= 16 and not view.flags.writeable
+                    q = queries[int(local.integers(0, len(queries)))]
+                    sq, ids = brute_topk(view, np.arange(n), q, 3)
+                    expect = np.argsort(((pts[:n] - q) ** 2).sum(axis=1), kind="stable")[:3]
+                    np.testing.assert_array_equal(ids, expect)
+                    views.append(view)
+            except Exception as exc:  # pragma: no cover - fails the test
+                errors.append(exc)
+
+        readers = [threading.Thread(target=reader, args=(s,)) for s in range(2)]
+        writer_thread = threading.Thread(target=writer)
+        for t in readers:
+            t.start()
+        writer_thread.start()
+        writer_thread.join()
+        for t in readers:
+            t.join()
+        assert not errors
+        assert len(index) == 300 and len(index._table) == 512
+        assert views
+        for view in views:
+            np.testing.assert_array_equal(view, pts[: len(view)])
 
     def test_query_batch_during_adds(self, rng):
         import threading

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, concat
+from repro.autograd import Tensor, check_gradients, concat, masked_softmax
 from repro.nn import SelfAttention, cross_match, match_pattern
 
 
@@ -154,6 +154,38 @@ class TestSelfAttention:
         attn = SelfAttention(2, rng=rng)
         x = rng.normal(size=(1, 3, 2))
         check_gradients(lambda t: attn(t), [x], atol=1e-4)
+
+    def test_gradcheck_ragged_mask(self, rng):
+        attn = SelfAttention(3, rng=rng)
+        x = rng.normal(size=(3, 4, 3))
+        mask = np.array([[True] * 4, [True, True, False, False], [True, False, False, False]])
+        check_gradients(lambda t: attn(t, mask=mask), [x], atol=1e-4)
+
+    def test_matches_row_mask_multiply_reference(self, rng):
+        """Folding the row mask into the softmax mask changes no value: the
+        output and every gradient equal a key-mask softmax followed by a
+        row-mask multiply, to 1e-12."""
+        attn = SelfAttention(3, rng=rng)
+        x_data = rng.normal(size=(3, 5, 3))
+        mask = np.array([[True] * 5, [True, True, True, False, False], [True] + [False] * 4])
+
+        def reference(x):
+            q, k, v = x @ attn.w_q, x @ attn.w_k, x @ attn.w_v
+            scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(attn.dim))
+            key_mask = np.broadcast_to(np.expand_dims(mask, -2), scores.shape)
+            weights = masked_softmax(scores, key_mask, axis=-1)
+            weights = weights * Tensor(np.expand_dims(mask, -1).astype(float))
+            return weights @ v
+
+        grads = []
+        for fn in (lambda x: attn(x, mask=mask), reference):
+            attn.zero_grad()
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = fn(x)
+            (out * Tensor(np.arange(out.data.size).reshape(out.shape))).sum().backward()
+            grads.append([out.data, x.grad] + [p.grad.copy() for p in (attn.w_q, attn.w_k, attn.w_v)])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_parameters_trainable(self, rng):
         attn = SelfAttention(3, rng=rng)

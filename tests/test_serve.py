@@ -20,6 +20,7 @@ from repro.serve import (
     run_serve_bench,
     trajectory_key,
 )
+from repro.serve.engine import BRUTE_THRESHOLD, brute_topk
 
 DIM = 3
 
@@ -36,6 +37,58 @@ def _embed(trajs):
 def _trajs(n, seed=0, length=5):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=(length, 2)) for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# brute_topk: the exact scan
+# ---------------------------------------------------------------------------
+class TestBruteTopk:
+    """The partition-then-sort scan ranks exactly as a full stable argsort."""
+
+    @staticmethod
+    def _tied_table(n=12, dim=3):
+        """Rows whose squared distances to the origin tie in runs of three,
+        the runs interleaved so tied rows are not adjacent."""
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(n // 3, dim))
+        return np.concatenate([base, base[::-1], base])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 11, 12, 13, 40])
+    def test_matches_stable_argsort_bit_for_bit(self, k):
+        table = self._tied_table()
+        gids = np.arange(100, 100 + len(table))
+        query = np.zeros(table.shape[1])
+        sq = ((table - query[None, :]) ** 2).sum(axis=1)
+        expect = np.argsort(sq, kind="stable")[:k]
+        # The ties really straddle the k-th position for some k.
+        assert len(np.unique(sq)) == len(table) // 3
+        got_sq, got_gids = brute_topk(table, gids, query, k)
+        np.testing.assert_array_equal(got_gids, gids[expect])
+        assert got_sq.tobytes() == sq[expect].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 9, 10, 11])
+    def test_random_rows_with_duplicates(self, k):
+        rng = np.random.default_rng(k)
+        table = rng.normal(size=(10, 4))
+        table[[2, 5, 7]] = table[4]  # four identical rows
+        query = table[4] + 0.1
+        sq = ((table - query[None, :]) ** 2).sum(axis=1)
+        expect = np.argsort(sq, kind="stable")[:k]
+        got_sq, got_ids = brute_topk(table, np.arange(10), query, k)
+        np.testing.assert_array_equal(got_ids, expect)
+        assert got_sq.tobytes() == sq[expect].tobytes()
+
+    def test_nan_rows_rank_last(self):
+        table = np.array([[np.nan, 0.0], [1.0, 0.0], [0.5, 0.0], [np.nan, 1.0]])
+        got_sq, got_ids = brute_topk(table, np.arange(4), np.zeros(2), 3)
+        np.testing.assert_array_equal(got_ids, [2, 1, 0])
+        assert np.isnan(got_sq[2])
+
+    def test_input_table_is_not_modified(self):
+        table = self._tied_table()
+        before = table.copy()
+        brute_topk(table, np.arange(len(table)), np.ones(table.shape[1]), 4)
+        np.testing.assert_array_equal(table, before)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +331,14 @@ class TestSimilarityServer:
         result = server.topk(_trajs(1, seed=12)[0], k=3)
         assert result.ids.size == 0 and result.distances.size == 0
         assert not result.degraded
+
+    def test_default_threshold_scans_the_table(self):
+        db = _trajs(30, seed=13)
+        with SimilarityServer(_embed, dim=DIM) as server:
+            assert server._local.brute_threshold == BRUTE_THRESHOLD
+            server.add_batch(db)
+            result = server.topk(_trajs(1, seed=14)[0], k=2)
+        assert result.source == "brute"
 
     def test_hnsw_path_beyond_brute_threshold(self):
         db = _trajs(30, seed=13)
