@@ -8,22 +8,33 @@ greedily from the top layer down, with beam (``ef``) search on the bottom
 layer.  Approximate by design; the test suite measures recall against the
 brute-force oracle.
 
+Storing and linking are two steps.  :meth:`HNSWIndex.add` only copies a
+vector into the next row of one contiguous ``(capacity, dim)`` float64
+table (grown by doubling) and returns its id; :meth:`HNSWIndex.link`
+later links the oldest unlinked rows into the graph, in id order, with
+the same level draws an eager build makes — so the linked graph is
+bit-identical to inserting and linking one vector at a time, however
+the linking is chunked.  :attr:`HNSWIndex.linked` counts the linked
+prefix.  A caller that answers small stores by an exact scan (the
+serving layer's :class:`~repro.serve.engine.LocalShard`) stores vectors
+without ever paying for links no query reads; :meth:`HNSWIndex.query`
+and :meth:`HNSWIndex.query_batch` link any pending rows first, so a
+direct caller always searches the whole store.  ``vectors``, ``len()``
+and ``nbytes`` never link; ``nbytes`` counts only links that exist.
+
 Thread-safety contract (relied on by :mod:`repro.serve`): every public
-method — :meth:`HNSWIndex.add`, :meth:`HNSWIndex.query`,
-:meth:`HNSWIndex.query_batch` and ``len()`` — takes an internal lock, so
-any number of reader threads may query while one writer inserts.  A query
+method — ``add``, ``link``, ``query``, ``query_batch``, ``linked``,
+``vectors`` and ``len()`` — takes an internal lock, so any number of
+reader threads may query while writers insert and link.  A query
 observes the index either before or after a concurrent insert, never a
 half-linked graph, and never returns an id ``>= len(index)`` as seen at
-the moment the query completed.
-
-Storage: the vectors live in one contiguous ``(capacity, dim)`` float64
-table, grown by doubling.  :meth:`HNSWIndex.add` copies a vector into its
-row and never writes that row again, so the read-only view
-:attr:`HNSWIndex.vectors` hands out is a stable snapshot — an exact scan
-over it runs outside the lock, and a concurrent insert that reallocates
-the table leaves the view on the old buffer untouched.  Graph search gathers
-an expanded node's unvisited neighbours with one ``take`` and scores them
-with one :func:`sq_distances` call; the heap decisions stay sequential.
+the moment the query completed.  A stored row is never written again,
+so the read-only view :attr:`HNSWIndex.vectors` hands out is a stable
+snapshot — an exact scan over it runs outside the lock, and a concurrent
+insert that reallocates the table leaves the view on the old buffer
+untouched.  Graph search gathers an expanded node's unvisited neighbours
+with one ``take`` and scores them with one :func:`sq_distances` call;
+the heap decisions stay sequential.
 """
 
 from __future__ import annotations
@@ -79,6 +90,8 @@ class HNSWIndex:
         #: Rows ``[:_n]`` hold the vectors in id order; the rest is slack.
         self._table = np.zeros((0, dim))
         self._n = 0
+        #: Nodes ``[:_linked]`` are in the graph; ``[_linked:_n]`` await :meth:`link`.
+        self._linked = 0
         # neighbors[layer][node] -> list of neighbor ids
         self._neighbors: List[Dict[int, List[int]]] = []
         self._entry: Optional[int] = None
@@ -90,6 +103,12 @@ class HNSWIndex:
     def __len__(self) -> int:
         with self._lock:
             return self._n
+
+    @property
+    def linked(self) -> int:
+        """How many nodes (the oldest, ids ``0..linked-1``) are in the graph."""
+        with self._lock:
+            return self._linked
 
     @property
     def vectors(self) -> np.ndarray:
@@ -105,10 +124,10 @@ class HNSWIndex:
 
     @property
     def nbytes(self) -> int:
-        """Exact payload bytes: stored vectors + 8 bytes per graph link.
+        """Exact payload bytes: stored vectors + 8 bytes per existing graph link.
 
         Vector data is ``n * dim * 8`` (the table's unused slack rows are
-        not payload); each neighbour link is
+        not payload; unlinked nodes hold no links); each neighbour link is
         accounted as one 8-byte id (what a packed adjacency array would
         store), deliberately excluding Python container overhead so the
         number tracks the structure's information content — the figure
@@ -162,24 +181,40 @@ class HNSWIndex:
 
     # ------------------------------------------------------------------
     def add(self, vector: np.ndarray) -> int:
-        """Insert a copy of one vector; returns its id.  Safe under concurrent queries."""
+        """Store a copy of one vector; returns its id.  Links nothing (see :meth:`link`)."""
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise ValueError(f"expected vector of dim {self.dim}, got {vector.shape}")
         with self._lock:
-            return self._add_locked(vector)
-
-    def _add_locked(self, vector: np.ndarray) -> int:
-        node = self._n
-        if node == len(self._table):
-            # Views handed out earlier keep the old buffer alive unchanged.
-            grown = np.empty((max(2 * node, 16), self.dim))
-            grown[:node] = self._table[:node]
-            self._table = grown
-        self._table[node] = vector
-        vector = self._table[node]  # search from the stored copy
-        self._n = node + 1
+            node = self._n
+            if node == len(self._table):
+                # Views handed out earlier keep the old buffer alive unchanged.
+                grown = np.empty((max(2 * node, 16), self.dim))
+                grown[:node] = self._table[:node]
+                self._table = grown
+            self._table[node] = vector
+            self._n = node + 1
         get_registry().counter("index.hnsw.inserts").inc()
+        return node
+
+    def link(self, max_nodes: Optional[int] = None) -> int:
+        """Link the oldest unlinked nodes into the graph, at most ``max_nodes``.
+
+        Returns how many were linked.  Nodes link in id order with the
+        level draws of an eager build, so any chunking yields the graph
+        that linking each node on its insert would have built.
+        """
+        with self._lock:
+            stop = self._n if max_nodes is None else min(self._n, self._linked + max_nodes)
+            start = self._linked
+            for node in range(start, stop):
+                self._link_node(node)
+                self._linked = node + 1
+        return max(stop - start, 0)
+
+    def _link_node(self, node: int) -> None:
+        """Link stored node ``node`` into the graph of nodes ``[0, node)``."""
+        vector = self._table[node]
         level = self._random_level()
         while len(self._neighbors) <= level:
             self._neighbors.append({})
@@ -189,7 +224,7 @@ class HNSWIndex:
         if self._entry is None:
             self._entry = node
             self._max_level = level
-            return node
+            return
 
         entry = self._entry
         # Greedy descent through layers above the new node's level.
@@ -215,10 +250,9 @@ class HNSWIndex:
         if level > self._max_level:
             self._max_level = level
             self._entry = node
-        return node
 
     def add_batch(self, vectors: np.ndarray) -> List[int]:
-        """Insert many vectors; returns their ids."""
+        """Store many vectors; returns their ids."""
         return [self.add(v) for v in np.asarray(vectors, dtype=np.float64)]
 
     # ------------------------------------------------------------------
@@ -226,11 +260,12 @@ class HNSWIndex:
         """One consistent, picklable snapshot of the whole graph.
 
         Everything :meth:`from_state` needs to answer queries identically
-        to this instance: the ``(n, dim)`` vector table, per-layer
-        adjacency, entry point, construction parameters and the level
-        sampler's state.  The sharded serving tier ships these
-        across the process boundary so a coordinator can rebuild a
-        worker's shard in-process without re-inserting.
+        to this instance: the ``(n, dim)`` vector table (linked prefix and
+        unlinked rows), the linked count, per-layer adjacency, entry
+        point, construction parameters and the level sampler's state.
+        The sharded serving tier ships these across the process boundary
+        so a coordinator can rebuild a worker's shard in-process without
+        re-inserting.
         """
         with self._lock:
             return {
@@ -238,6 +273,7 @@ class HNSWIndex:
                 "m": self.m,
                 "ef_construction": self.ef_construction,
                 "vectors": self._table[: self._n].copy(),
+                "linked": self._linked,
                 "neighbors": [
                     {node: list(links) for node, links in layer.items()}
                     for layer in self._neighbors
@@ -253,8 +289,9 @@ class HNSWIndex:
 
         Queries on the rebuilt index traverse the identical graph, so
         results match the source instance exactly, and the level sampler
-        resumes where the source's stood: further inserts build the graph
-        the source would have built.
+        resumes where the source's stood: linking the rest (the source's
+        backlog and any further inserts) builds the graph the source would
+        have built.
         """
         index = cls(
             state["dim"], m=state["m"], ef_construction=state["ef_construction"]
@@ -262,6 +299,7 @@ class HNSWIndex:
         with index._lock:
             table = np.array(state["vectors"], dtype=np.float64).reshape(-1, index.dim)
             index._table, index._n = table, len(table)
+            index._linked = state["linked"]
             index._neighbors = [
                 {int(node): list(links) for node, links in layer.items()}
                 for layer in state["neighbors"]
@@ -275,12 +313,16 @@ class HNSWIndex:
         """Approximate k nearest neighbours: ``(distances, ids)`` ascending.
 
         ``ef`` (beam width, >= k) trades recall for speed; defaults to
-        ``max(ef_construction, k)``.  Safe under a concurrent :meth:`add`.
+        ``max(ef_construction, k)``.  Links any pending nodes first, so
+        every stored vector can be found.  Returns ``k`` ids even where the
+        beam reaches fewer nodes (see :meth:`_top_up`).  Safe under a
+        concurrent :meth:`add`.
         """
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise ValueError(f"expected vector of dim {self.dim}, got {vector.shape}")
         with self._lock:
+            self.link()
             return self._query_locked(vector, k, ef)
 
     def query_batch(
@@ -297,6 +339,7 @@ class HNSWIndex:
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (Q, {self.dim}) query stack, got {vectors.shape}")
         with self._lock:
+            self.link()
             out = [self._query_locked(v, k, ef) for v in vectors]
         dists = np.stack([d for d, _ in out]) if out else np.zeros((0, k))
         ids = np.stack([i for _, i in out]) if out else np.zeros((0, k), dtype=int)
@@ -318,7 +361,7 @@ class HNSWIndex:
             entry = layer_best[0][1]
         found = self._search_layer(vector, entry, ef=ef, layer=0)
         visited += len(found)
-        found = found[:k]
+        found = found[:k] if len(found) >= k else self._top_up(vector, found, k)
         registry = get_registry()
         registry.counter("index.hnsw.queries").inc()
         registry.counter("index.hnsw.candidates_scanned").inc(visited)
@@ -330,3 +373,18 @@ class HNSWIndex:
         # construction; no eps needed on this no-gradient search path.
         dists = np.sqrt(np.array([d for d, _ in found]))  # lint: allow(N002)
         return dists, ids
+
+    def _top_up(
+        self, query: np.ndarray, found: List[Tuple[float, int]], k: int
+    ) -> List[Tuple[float, int]]:
+        """Fill a beam that reached fewer than ``k`` nodes to exactly ``k``.
+
+        A graph whose layer-0 component around the entry point is smaller
+        than ``k`` (tight clusters, duplicates, small ``m``) strands the
+        rest; the nearest stranded rows come from an exact scan of the
+        table, merged by ``(distance, id)``.
+        """
+        sq = sq_distances(self._table[: self._n], query)
+        sq[[i for _, i in found]] = np.inf
+        extra = np.argsort(sq, kind="stable")[: k - len(found)].tolist()
+        return sorted(found + [(float(sq[i]), i) for i in extra])

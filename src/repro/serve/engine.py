@@ -262,8 +262,13 @@ class LocalShard(Shard):
     coordinator's store lock survive any interleaving of concurrent
     inserts.  :meth:`search` scans the index's vector table exactly while
     the shard holds at most ``brute_threshold`` nodes (or for ``k`` over
-    half the shard) and searches the graph above that.  Worker processes
-    search their slice with it too.
+    half the shard) and searches the graph above that, once the graph
+    covers every node.  Up to ``brute_threshold`` nodes :meth:`add` only
+    stores the vector, since no search reads links there; above it each
+    add links two nodes, so the backlog shrinks by one per add and the
+    graph covers the shard by ``2 * brute_threshold`` nodes — no single
+    add links the whole backlog, and until then the scan answers,
+    exactly.  Worker processes search their slice with it too.
     """
 
     def __init__(
@@ -285,7 +290,8 @@ class LocalShard(Shard):
             return self._gids[: len(self.index)].copy()
 
     def add(self, gid: int, embedding: np.ndarray) -> None:
-        """Insert ``embedding`` as global id ``gid``."""
+        """Insert ``embedding`` as global id ``gid``; above ``brute_threshold``
+        nodes, link two pending nodes into the graph."""
         with self._lock:
             node = len(self.index)
             if node == len(self._gids):
@@ -294,6 +300,8 @@ class LocalShard(Shard):
                 self._gids = grown
             self._gids[node] = gid
             self.index.add(embedding)
+            if node >= self.brute_threshold:
+                self.index.link(2)
 
     def search(self, embedding: np.ndarray, k: int) -> ShardAnswer:
         """This shard's local top-``k`` as squared L2 and global ids.
@@ -305,13 +313,18 @@ class LocalShard(Shard):
             vectors = self.index.vectors
             n = len(vectors)
             gids = self._gids[:n]
+            graph = n > self.brute_threshold and self.index.linked == n
         if n == 0:
             return ShardAnswer(np.zeros(0), np.zeros(0, dtype=int), "brute")
         k = min(k, n)
-        if n <= self.brute_threshold or k > n // 2:
+        if not graph or k > n // 2:
             sq, found = brute_topk(vectors, gids, embedding, k)
             return ShardAnswer(sq, found, "brute")
         dists, ids = self.index.query(embedding, k=k, ef=self.ef_search)
+        # Nodes added since the snapshot may be in the answer: map ids
+        # through the gid table as it stands now.
+        with self._lock:
+            gids = self._gids
         return ShardAnswer(dists**2, gids[ids], "hnsw")
 
     def encode(self, points: np.ndarray, timeout: Optional[float]) -> np.ndarray:

@@ -696,6 +696,11 @@ class TestNeverRaisesContract:
             "brute_topk" in esc.chain and "LocalShard.search" in esc.chain
             for esc in model.escapes[impl]
         ), "expected an escape through the in-process shard's exact scan"
+        for step in ("HNSWIndex.link", "HNSWIndex._top_up"):
+            assert any(
+                step in esc.chain and "LocalShard.search" in esc.chain
+                for esc in model.escapes[impl]
+            ), f"expected an escape through the graph branch's {step}"
 
     def test_model_proves_sharded_topk_never_raises(self):
         """The sharded coordinator carries the same contract as the engine.

@@ -48,13 +48,19 @@ def _one_distance(a, b):
 
 
 class ReferenceHNSW(HNSWIndex):
-    """Per-neighbour search and per-link prune: the oracle for the
-    vectorised :class:`HNSWIndex`.
+    """Per-add linking, per-neighbour search and per-link prune: the
+    oracle for the vectorised, lazily linked :class:`HNSWIndex`.
 
-    One distance call per neighbour and per link, a tuple sort for
-    pruning; same distance kernel, same level sampling.  Graphs and
-    query answers must match :class:`HNSWIndex` exactly.
+    Every ``add`` links its node at once; one distance call per neighbour
+    and per link, a tuple sort for pruning; same distance kernel, same
+    level sampling.  Graphs and query answers must match
+    :class:`HNSWIndex` exactly.
     """
+
+    def add(self, vector):
+        node = super().add(vector)
+        self.link()
+        return node
 
     def _search_layer(self, query, entry, ef, layer):
         vectors = self._table
@@ -78,10 +84,8 @@ class ReferenceHNSW(HNSWIndex):
                         heapq.heappop(best)
         return sorted((-d, i) for d, i in best)
 
-    def _add_locked(self, vector):
-        node = self._n
-        self._table = np.vstack([self._table[:node], vector[None, :]])
-        self._n = node + 1
+    def _link_node(self, node):
+        vector = self._table[node].copy()
         level = self._random_level()
         while len(self._neighbors) <= level:
             self._neighbors.append({})
@@ -90,7 +94,7 @@ class ReferenceHNSW(HNSWIndex):
         if self._entry is None:
             self._entry = node
             self._max_level = level
-            return node
+            return
         entry = self._entry
         for l in range(self._max_level, level, -1):
             entry = self._search_layer(vector, entry, ef=1, layer=l)[0][1]
@@ -113,7 +117,6 @@ class ReferenceHNSW(HNSWIndex):
         if level > self._max_level:
             self._max_level = level
             self._entry = node
-        return node
 
 
 def _clustered(rng, n, dim):
@@ -141,6 +144,7 @@ class TestVectorisedSearchEquivalence:
         reference = ReferenceHNSW(dim=6, m=m, ef_construction=32, seed=3)
         index.add_batch(pts)
         reference.add_batch(pts)
+        index.link()
         assert _graph(index) == _graph(reference)
         for ef in (1, 16, 64):
             for q in queries:
@@ -148,6 +152,125 @@ class TestVectorisedSearchEquivalence:
                 d_ref, i_ref = reference.query(q, k=min(ef, 10), ef=ef)
                 np.testing.assert_array_equal(i, i_ref)
                 np.testing.assert_array_equal(d, d_ref)
+
+
+class TestLazyLinking:
+    """``add`` only stores; ``link`` builds the graph an eager build would."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, None])
+    @pytest.mark.parametrize("data", ["random", "clustered"])
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_link_in_chunks_matches_per_add_reference(self, chunk, data, m):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(200, 6)) if data == "random" else _clustered(rng, 200, 6)
+        index = HNSWIndex(dim=6, m=m, ef_construction=32, seed=4)
+        reference = ReferenceHNSW(dim=6, m=m, ef_construction=32, seed=4)
+        reference.add_batch(pts)
+        index.add_batch(pts[:120])
+        assert index.linked == 0
+        while index.linked < 120:
+            before = index.linked
+            assert index.link(chunk) == (120 - before if chunk is None else chunk)
+        index.add_batch(pts[120:])
+        while index.link(chunk):
+            pass
+        assert index.linked == len(index) == 200
+        assert _graph(index) == _graph(reference)
+
+    def test_store_reads_never_link(self, rng):
+        pts = rng.normal(size=(40, 4))
+        index = HNSWIndex(dim=4, m=4, seed=1)
+        index.add_batch(pts)
+        assert len(index) == 40
+        np.testing.assert_array_equal(index.vectors, pts)
+        assert index.nbytes == pts.size * 8
+        assert index.linked == 0 and index.link(0) == 0 and index.linked == 0
+        index.link(10)
+        assert index.linked == 10
+        index.query(pts[3], k=2)
+        assert index.linked == 40  # a direct query searches the whole store
+        assert index.link() == 0
+
+    def test_query_links_the_backlog_first(self, rng):
+        pts = rng.normal(size=(60, 4))
+        queries = rng.normal(size=(6, 4))
+        lazy = HNSWIndex(dim=4, m=4, ef_construction=16, seed=2)
+        eager = ReferenceHNSW(dim=4, m=4, ef_construction=16, seed=2)
+        lazy.add_batch(pts)
+        eager.add_batch(pts)
+        d, i = lazy.query_batch(queries, k=3)
+        d_eager, i_eager = eager.query_batch(queries, k=3)
+        np.testing.assert_array_equal(i, i_eager)
+        np.testing.assert_array_equal(d, d_eager)
+
+    def test_state_dict_mid_backlog_matches_undumped_twin(self, rng):
+        pts = rng.normal(size=(150, 5))
+        twin = HNSWIndex(dim=5, m=4, ef_construction=16, seed=6)
+        dumped = HNSWIndex(dim=5, m=4, ef_construction=16, seed=6)
+        twin.add_batch(pts)
+        twin.link()
+        dumped.add_batch(pts[:90])
+        dumped.link(40)
+        state = dumped.state_dict()
+        assert state["linked"] == 40 and state["vectors"].shape == (90, 5)
+        rebuilt = HNSWIndex.from_state(state)
+        assert rebuilt.linked == 40 and len(rebuilt) == 90
+        assert rebuilt.nbytes == dumped.nbytes
+        rebuilt.add_batch(pts[90:])
+        rebuilt.link()
+        assert _graph(rebuilt) == _graph(twin)
+        assert rebuilt.nbytes == twin.nbytes
+
+    def test_nbytes_counts_only_existing_links(self, rng):
+        pts = rng.normal(size=(50, 3))
+        index = HNSWIndex(dim=3, m=4, seed=3)
+        index.add_batch(pts)
+        vector_bytes = pts.size * 8
+
+        def link_bytes():
+            return 8 * sum(len(v) for layer in index._neighbors for v in layer.values())
+
+        assert index.nbytes == vector_bytes and link_bytes() == 0
+        index.link(20)
+        partial = index.nbytes
+        assert partial == vector_bytes + link_bytes() > vector_bytes
+        assert all(node < 20 for layer in index._neighbors for node in layer)
+        index.link()
+        assert index.nbytes == vector_bytes + link_bytes() > partial
+
+
+def _stranding_clusters(seed):
+    """Many tight far-apart clusters with duplicates: at m=4 the layer-0
+    component around the entry point can hold fewer than k=16 nodes."""
+    rng = np.random.default_rng(seed)
+    n_centres = int(rng.integers(14, 29))
+    centres = rng.normal(scale=50.0, size=(n_centres, 8))
+    pts = centres[rng.integers(0, n_centres, size=300)]
+    pts = pts + rng.normal(scale=0.01, size=pts.shape)
+    pts[1::7] = pts[0::7][: len(pts[1::7])]
+    return pts
+
+
+class TestShortBeam:
+    """A beam that reaches fewer than k nodes is topped up to k ids."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_query_and_query_batch_return_k_ids(self, seed):
+        pts = _stranding_clusters(seed)
+        index = HNSWIndex(dim=8, m=4, ef_construction=32, seed=seed)
+        index.add_batch(pts)
+        queries = pts[::10]
+        for q in queries:
+            d, i = index.query(q, k=16, ef=16)
+            assert len(i) == len(set(i.tolist())) == 16
+            assert np.all(np.diff(d) >= 0)
+            np.testing.assert_allclose(d, np.sqrt(((pts[i] - q) ** 2).sum(axis=1)))
+        dists, ids = index.query_batch(queries, k=16, ef=16)
+        assert ids.shape == dists.shape == (len(queries), 16)
+        for row, q in enumerate(queries):
+            d, i = index.query(q, k=16, ef=16)
+            np.testing.assert_array_equal(ids[row], i)
+            np.testing.assert_array_equal(dists[row], d)
 
 
 class TestVectorTable:
@@ -192,6 +315,8 @@ class TestVectorTable:
         rebuilt.add_batch(pts[50:])
         assert len(rebuilt) == 120 and len(rebuilt._table) >= 120
         np.testing.assert_array_equal(rebuilt.vectors, pts)
+        rebuilt.link()
+        twin.link()
         assert _graph(rebuilt) == _graph(twin)
         assert rebuilt.nbytes == twin.nbytes
         d, i = rebuilt.query_batch(queries, k=4)

@@ -398,6 +398,72 @@ class TestSimilarityServer:
 # ---------------------------------------------------------------------------
 
 
+class TestLocalShardLinking:
+    def test_search_stays_exact_while_the_graph_catches_up(self):
+        """A shard crossing ``brute_threshold`` under concurrent searches:
+        no add links before the threshold, each later add links two nodes,
+        every search with a node still unlinked is an exact scan, and the
+        graph covers the shard by twice the threshold."""
+        from repro.index.hnsw import HNSWIndex
+        from repro.serve.engine import LocalShard
+
+        threshold, total, k = 64, 200, 5
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(total, 4))
+        gids = 1000 + np.arange(total)
+        queries = rng.normal(size=(16, 4))
+        shard = LocalShard(
+            HNSWIndex(dim=4, m=4, ef_construction=16, seed=0), brute_threshold=threshold
+        )
+        index = shard.index
+        errors, sources = [], []
+        stop = threading.Event()
+
+        def reader(seed):
+            local = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    q = queries[int(local.integers(0, len(queries)))]
+                    n_lo = len(index)
+                    answer = shard.search(q, k)
+                    n_hi = len(index)
+                    sources.append(answer.source)
+                    if answer.source == "hnsw":
+                        # Only a fully linked shard walks the graph.
+                        assert n_hi >= 2 * threshold
+                        assert set(answer.gids.tolist()) <= set(gids[:n_hi].tolist())
+                        continue
+                    # Exact over the prefix the search saw: some n in [n_lo, n_hi].
+                    assert any(
+                        np.array_equal(answer.gids, brute_topk(pts[:n], gids[:n], q, k)[1])
+                        for n in range(max(n_lo, k), n_hi + 1)
+                    )
+            except Exception as exc:  # pragma: no cover - fails the test
+                errors.append(exc)
+
+        for p, g in zip(pts[:k], gids[:k]):
+            shard.add(int(g), p)
+        readers = [threading.Thread(target=reader, args=(s,)) for s in range(2)]
+        for t in readers:
+            t.start()
+        try:
+            for n in range(k + 1, total + 1):
+                shard.add(int(gids[n - 1]), pts[n - 1])
+                # Only the writer links: no search linked the backlog.
+                assert index.linked == min(n, max(0, 2 * (n - threshold)))
+                time.sleep(0.0005)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join()
+        assert not errors
+        assert "brute" in sources
+        assert index.linked == len(index) == total
+        answer = shard.search(queries[0], k)
+        assert answer.source == "hnsw"
+        np.testing.assert_array_equal(np.sort(shard.gids), gids)
+
+
 def test_run_serve_bench_smoke():
     result = run_serve_bench(
         n_db=8, n_queries=12, workers=2, batch_size=8, hidden_dim=8, naive_queries=4

@@ -389,3 +389,40 @@ def test_concurrent_adds_keep_store_and_index_ids_aligned():
             served = server.topk(traj, k=1)
             assert not served.degraded and served.ids[0] == ids[i]
             assert served.distances[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_graph_search_maps_ids_added_during_the_query():
+    """A node added while a graph search runs can be in its answer; the
+    search maps it through the gid table as it stands after the query.
+
+    The reader's graph query is held until a new trajectory — the very
+    one it queries — has been added, so the answer's nearest node is one
+    the search's own snapshot did not hold.
+    """
+    db = _trajs(20, seed=91)
+    late = _trajs(1, seed=92)[0]
+    result = {}
+    with SimilarityServer(_embed, dim=DIM, brute_threshold=0) as server:
+        server.add_batch(db)
+        real_query = server.index.query
+        inside, added = threading.Event(), threading.Event()
+
+        def held_query(vector, k=1, ef=None):
+            if threading.current_thread().name == "reader":
+                inside.set()
+                assert added.wait(5.0)
+            return real_query(vector, k=k, ef=ef)
+
+        server.index.query = held_query
+        reader = threading.Thread(
+            target=lambda: result.__setitem__("r", server.topk(late, k=1)), name="reader"
+        )
+        reader.start()
+        assert inside.wait(5.0)
+        late_id = server.add(late)
+        added.set()
+        reader.join()
+    served = result["r"]
+    assert served.source == "hnsw" and not served.degraded
+    assert served.ids[0] == late_id == 20
+    assert served.distances[0] == pytest.approx(0.0, abs=1e-12)
