@@ -101,8 +101,8 @@ trace-demo:
 	PYTHONPATH=src python -m repro.cli trace --demo --top 3
 
 # Run a small seeded 4-shard serve workload and print stitched
-# cross-process traces: per-shard subtrees (ipc-wait / slab-read /
-# search) grafted under the coordinator's serve.topk spans.
+# cross-process traces: per-shard subtrees (ipc-wait / search) grafted
+# under the coordinator's serve.topk spans.
 trace-shard-demo:
 	PYTHONPATH=src python -m repro.cli trace --demo-shards 4 --top 3
 

@@ -26,20 +26,17 @@ attributed to the request that paid for them, not to the flush thread.
 
 Cross-*process* handoff builds on the same idea with an explicit wire
 format: the dispatching side captures a :class:`TraceContext` (trace id
-+ parent span id + clock offset) and ships it inside the request
-message; the worker process opens a detached subtree via
++ parent span id) and ships it inside the request message; the worker process opens a detached subtree via
 :func:`begin_remote`, records its own spans (reusing :class:`Handoff`
 for its local queue hops), serialises them with :func:`export_subtree`
 and returns them alongside the answer; the coordinator stitches the
 subtree under the request's own span with :func:`graft_subtree` —
-remapping span ids, applying the clock offset, sanitising non-finite
-attribute values and truncating oversized subtrees into
+remapping span ids, sanitising non-finite attribute values and truncating oversized subtrees into
 ``dropped_events``.  Grafted events carry the owning shard id so the
 renderer can show which process a span ran in (``s3:queue-wait``).
 Timestamp comparability relies on ``time.perf_counter`` being
-CLOCK_MONOTONIC shared across processes (true on Linux); the context's
-``clock_offset`` is the explicit correction knob when it is not (see
-DESIGN.md §17 for the caveats).
+CLOCK_MONOTONIC shared across processes (true on Linux; see DESIGN.md
+§17).
 
 Finished traces land in a bounded in-memory ring (newest evicts oldest)
 and, when configured, are mirrored to a JSONL trace log, one trace per
@@ -112,22 +109,16 @@ class TraceContext:
         Span id on the origin side the remote work is causally under
         (informational — the coordinator picks the actual graft point,
         normally the per-shard gather span).
-    clock_offset:
-        Seconds to *add* to remote timestamps to land on the origin
-        clock.  Defaults to 0.0: ``time.perf_counter`` is shared
-        CLOCK_MONOTONIC across processes on Linux.
     """
 
     trace_id: str
     parent_span_id: int = ROOT
-    clock_offset: float = 0.0
 
     def to_wire(self) -> dict:
         """Plain-dict form safe to pickle into a request message."""
         return {
             "trace_id": self.trace_id,
             "parent_span_id": int(self.parent_span_id),
-            "clock_offset": float(self.clock_offset),
         }
 
     @classmethod
@@ -136,7 +127,6 @@ class TraceContext:
         return cls(
             trace_id=str(data.get("trace_id", "t?")),
             parent_span_id=int(data.get("parent_span_id", ROOT)),
-            clock_offset=float(data.get("clock_offset", 0.0)),
         )
 
 
@@ -377,11 +367,11 @@ class Trace:
         parent = top.span_id if top is not None else ROOT
         return Handoff(self, parent, self._tracer._clock(), self._tracer)
 
-    def context(self, clock_offset: float = 0.0) -> TraceContext:
+    def context(self) -> TraceContext:
         """Capture a cross-process :class:`TraceContext` at the current span."""
         top = self._top()
         parent = top.span_id if top is not None else ROOT
-        return TraceContext(self.trace_id, parent, clock_offset)
+        return TraceContext(self.trace_id, parent)
 
     def record_span(
         self,
@@ -566,7 +556,7 @@ class _NullTrace:
         """A no-op cross-thread continuation token."""
         return _NULL_HANDOFF
 
-    def context(self, clock_offset: float = 0.0) -> None:
+    def context(self) -> None:
         """No cross-process context while disabled (callers ship None)."""
         return None
 
@@ -842,9 +832,7 @@ def read_trace_log(path: Union[str, Path]) -> List[Trace]:
 # Cross-process stitching: capture -> remote subtree -> export -> graft.
 
 
-def capture_context(
-    tracer: Optional[Tracer] = None, clock_offset: float = 0.0
-) -> Optional[TraceContext]:
+def capture_context(tracer: Optional[Tracer] = None) -> Optional[TraceContext]:
     """The calling thread's :class:`TraceContext`, or None when not tracing.
 
     The dispatch-side half of cross-process tracing: serialise the
@@ -856,7 +844,7 @@ def capture_context(
     trace = tracer.current()
     if trace is None:
         return None
-    return trace.context(clock_offset)
+    return trace.context()
 
 
 def begin_remote(
@@ -919,7 +907,6 @@ def graft_subtree(
     trace: Trace,
     parent_id: int,
     payload: object,
-    clock_offset: float = 0.0,
     shard: Optional[int] = None,
     max_spans: int = 256,
 ) -> int:
@@ -928,9 +915,9 @@ def graft_subtree(
     The coordinator-side half of cross-process tracing.  Worker-local
     span ids are remapped onto this trace's sequence (id order is
     preserved, so remote parents stay below their children); remote
-    parents outside the subtree re-anchor to ``parent_id``;
-    ``clock_offset`` shifts every remote timestamp onto the origin
-    clock; attrs are sanitised via non-finite → repr strings; every
+    parents outside the subtree re-anchor to ``parent_id``; remote
+    timestamps land unchanged (one CLOCK_MONOTONIC axis across
+    processes); attrs are sanitised via non-finite → repr strings; every
     grafted event is tagged with the owning ``shard`` id (rendered as
     ``s<shard>:<name>``).  Oversized subtrees are truncated to
     ``max_spans`` (lowest ids — the outermost spans — survive) and the
@@ -971,8 +958,8 @@ def graft_subtree(
         try:
             old_id = int(event["id"])
             old_parent = int(event.get("parent", ROOT))
-            start = float(event.get("start", 0.0)) + clock_offset
-            end = float(event.get("end", start - clock_offset)) + clock_offset
+            start = float(event.get("start", 0.0))
+            end = float(event.get("end", start))
             name = str(event.get("name", "?"))
             attrs = _sanitize_attrs(dict(event.get("attrs") or {}))
             thread = str(event.get("thread", "remote"))

@@ -15,7 +15,7 @@ package is the subsystem that actually serves those queries:
   in-process :class:`LocalShard`;
 - :mod:`repro.serve.shard` — :class:`ShardedSimilarityServer`, the same
   coordinator over N :class:`ProcessShard` s (spawned workers,
-  shared-memory handoff, retained fallback blocks);
+  payloads as bytes in the request message, retained fallback blocks);
 - :mod:`repro.serve.bench` — the ``repro-tmn serve-bench`` harness
   measuring served vs naive one-forward-per-request throughput, plus
   the sharded closed-loop bench behind ``--shards``.

@@ -33,7 +33,6 @@ from ..core import TMN, TMNConfig
 from ..data import make_dataset, prepare
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
-from ..obs.sampler import StackSampler
 from ..obs.slo import (
     DEADLINE_SERVE_SLOS,
     DEFAULT_MEMORY_SLOS,
@@ -176,7 +175,6 @@ def run_serve_bench(
     slos: Optional[Sequence[SLO]] = None,
     enforce_slos: bool = True,
     trace_log: Optional[str] = None,
-    sampler: Optional[StackSampler] = None,
     metrics_out: Optional[str] = None,
 ) -> ServeBenchResult:
     """Run the serving benchmark and return its measurements.
@@ -200,11 +198,9 @@ def run_serve_bench(
     serving promises, it does not merely report them.  ``trace_log``
     mirrors every request trace to a JSONL file for ``repro-tmn trace``.
 
-    ``sampler`` (a :class:`~repro.obs.sampler.StackSampler`) is run over
-    the measured phases when given; a sampler already running stays
-    caller-managed.  ``metrics_out`` (or ``$REPRO_SERVE_METRICS``) names a
-    JSON file receiving the registry snapshot, written before any SLO
-    raise (see :func:`_finish`).
+    ``metrics_out`` (or ``$REPRO_SERVE_METRICS``) names a JSON file
+    receiving the registry snapshot, written before any SLO raise (see
+    :func:`_finish`).
     """
     rng = np.random.default_rng(seed)
     length_kwargs = {}
@@ -243,12 +239,7 @@ def run_serve_bench(
     # mid-forward (numpy releases the GIL only around large ops).
     switch_before = sys.getswitchinterval()
     sys.setswitchinterval(0.02)
-    # Run the caller's sampler over the measured phases (unless it is
-    # already running, in which case its lifecycle stays with the caller).
-    owns_sampler = sampler is not None and not sampler.running
     try:
-        if owns_sampler:
-            sampler.start()
         server.add_batch(db)
 
         served_seconds, results = _drive_closed_loop(
@@ -283,8 +274,6 @@ def run_serve_bench(
             slos = tuple(slos) + tuple(DEFAULT_MEMORY_SLOS)
         return _finish(result, server, slos, tracer, registry, metrics_out, enforce_slos)
     finally:
-        if owns_sampler:
-            sampler.stop()
         sys.setswitchinterval(switch_before)
         server.close()
         if trace_log is not None:
@@ -596,8 +585,7 @@ def run_shard_bench(
     against.  With tracing on, the result carries a per-shard
     time-attribution table aggregated from the stitched traces.
     """
-    from ..index.hnsw import HNSWIndex
-    from .engine import LocalShard, merge_topk
+    from .engine import merge_topk
     from .shard import FeatureEncoder, ShardedSimilarityServer
 
     rng = np.random.default_rng(seed)
@@ -651,18 +639,7 @@ def run_shard_bench(
             emb_by_gid[gids] = block
         # In-process replicas of every shard graph (also the control arm),
         # searched as their workers search them.
-        spec = server._spec
-        replicas = []
-        for i in range(shards):
-            dump = server.dump_shard(i)
-            replicas.append(
-                LocalShard(
-                    HNSWIndex.from_state(dump["state"]),
-                    dump["gids"],
-                    ef_search=spec.ef_search,
-                    brute_threshold=spec.brute_threshold,
-                )
-            )
+        replicas = [server.dump_shard(i) for i in range(shards)]
 
         def inline_topk(embedding: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
             """The coordinator merge over in-process shard replicas."""

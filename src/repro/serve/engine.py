@@ -12,9 +12,10 @@ slice of the stored trajectories.  A shard is one of two kinds:
   shard of :class:`SimilarityServer`, whose queries encode on the
   server's own :class:`MicroBatcher`;
 - :class:`~repro.serve.shard.ProcessShard` — a spawned worker process
-  that owns a :class:`LocalShard` and its own batcher, reached through a
-  shared-memory slab.  :class:`~repro.serve.shard.ShardedSimilarityServer`
-  builds N of them.
+  that owns a :class:`LocalShard` and its own batcher, reached through
+  request/response queues whose messages carry payloads as float64
+  bytes.  :class:`~repro.serve.shard.ShardedSimilarityServer` builds N
+  of them.
 
 The coordinator owns everything else once, for both kinds: the cache
 probe, the encode (live shards take turns, one retry on another shard),

@@ -7,11 +7,10 @@ so every batched forward and every HNSW beam search shares one GIL.
 ``SimilarityServer`` over its slice of the store (own encoder replica,
 batcher and :class:`~repro.serve.engine.LocalShard`), with:
 
-- **shared-memory handoff** — query payloads are written into a
-  per-worker :class:`_ShmSlab` slot and referenced by index in the
-  request, so the hot path never pickles a large array; a slot is
-  recycled only once its response arrived, which makes the handoff
-  bit-exact by construction;
+- **payloads as bytes** — a query trajectory or embedding travels
+  inside the request message as its raw float64 ``tobytes()`` image
+  plus its shape, copied when the request is built, so the handoff is
+  bit-exact by construction and the tier creates no shared memory;
 - **one dispatch method** — :meth:`ProcessShard.request` takes
   ``trace_ctx`` as a required keyword, so no search or encode can leave
   without its cross-process trace context;
@@ -20,10 +19,7 @@ batcher and :class:`~repro.serve.engine.LocalShard`), with:
   worker is dead, past the gather deadline or erroring.
 
 Stored trajectories go to shards round-robin by database id, or by the
-content hash the embedding cache keys on.  The coordinator creates,
-names and unlinks every shared-memory segment (``close()`` is the one
-cleanup point); workers attach without resource-tracker registration,
-so a worker exit — clean or SIGKILL — can never unlink a live segment.
+content hash the embedding cache keys on.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import time
 import multiprocessing as mp
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,7 +64,6 @@ from .engine import (
 )
 
 __all__ = [
-    "SHM_PREFIX",
     "FeatureEncoder",
     "ProcessShard",
     "ShardDeadError",
@@ -78,14 +72,6 @@ __all__ = [
 ]
 
 _LOG = get_logger("repro.serve.shard")
-
-#: Prefix of every shared-memory segment this module creates; lifecycle
-#: tests sweep ``/dev/shm`` for it to prove nothing leaks.
-SHM_PREFIX = "reproshard"
-
-#: Process-wide source of unique segment suffixes (pid reuse is handled
-#: by retrying on name collision, see ``_ShmSlab``).
-_SEGMENT_COUNTER = itertools.count()
 
 
 class ShardDeadError(RuntimeError):
@@ -152,129 +138,9 @@ class FeatureEncoder:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory slab: fixed float64 slots, coordinator-owned lifecycle.
-# ----------------------------------------------------------------------
-class _ShmSlab:
-    """Fixed-slot shared-memory arena for float64 payload handoff.
-
-    The coordinator creates (and later unlinks) one slab per worker;
-    callers ``acquire`` a slot, ``write`` an array into it and pass the
-    slot index in the request message.  A slot is recycled only once the
-    worker's response for it arrived (or its worker is declared dead), so
-    a slow worker can never observe a half-overwritten payload.
-    """
-
-    def __init__(self, slots: int, slot_bytes: int):
-        if slots < 1 or slot_bytes < 8:
-            raise ValueError("slab needs >= 1 slot of >= 8 bytes")
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        while self._shm is None:
-            name = f"{SHM_PREFIX}-{os.getpid()}-{next(_SEGMENT_COUNTER)}"
-            try:
-                self._shm = shared_memory.SharedMemory(
-                    create=True, name=name, size=slots * slot_bytes
-                )
-            except FileExistsError:
-                continue  # stale segment from a recycled pid: pick a new name
-        self.name = self._shm.name
-        self._free = list(range(slots))
-        self._lock = new_lock("serve.shard.slab")
-
-    def acquire(self) -> Optional[int]:
-        """A free slot index, or None when the slab is exhausted."""
-        with self._lock:
-            return self._free.pop() if self._free else None
-
-    def release(self, slot: int) -> None:
-        """Return a slot to the free list (idempotence is the caller's job)."""
-        with self._lock:
-            self._free.append(slot)
-
-    def write(self, slot: int, array: np.ndarray) -> Tuple[int, ...]:
-        """Copy ``array`` (float64) into ``slot``; returns its shape token."""
-        flat = np.ascontiguousarray(array, dtype=np.float64).ravel()
-        if flat.nbytes > self.slot_bytes:
-            raise ValueError(f"payload of {flat.nbytes} B exceeds slot size")
-        with self._lock:
-            shm = self._shm
-        if shm is None:
-            raise ValueError("slab is closed")
-        view = np.frombuffer(
-            shm.buf, dtype=np.float64, count=flat.size,
-            offset=slot * self.slot_bytes,
-        )
-        view[:] = flat
-        return tuple(np.asarray(array).shape)
-
-    def close(self) -> None:
-        """Close and unlink the segment (idempotent, swallows races)."""
-        with self._lock:
-            shm, self._shm = self._shm, None
-        if shm is None:
-            return
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # already gone: nothing to own
-            pass
-
-
-def _attach_slab(name: str) -> shared_memory.SharedMemory:
-    """Worker-side attach to the coordinator's slab, without tracking.
-
-    A plain attach registers the segment with the resource tracker (which
-    spawned workers share with the coordinator), so the tracker could
-    unlink a segment the coordinator still owns.  Registration is
-    suppressed for the attach — the 3.11 form of Python 3.13's
-    ``SharedMemory(..., track=False)`` — so neither a clean worker exit
-    nor a SIGKILL can destroy a live segment, and the coordinator's
-    ``unlink`` is the only deregistration the tracker sees.
-    """
-    from multiprocessing import resource_tracker
-
-    real_register = resource_tracker.register
-
-    def _skip_shm(tracked_name, rtype):  # pragma: no cover - attach-scope shim
-        if rtype != "shared_memory":
-            real_register(tracked_name, rtype)
-
-    resource_tracker.register = _skip_shm
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = real_register
-
-
-def _read_slot(
-    shm: shared_memory.SharedMemory, slot: int, slot_bytes: int, shape: Sequence[int]
-) -> np.ndarray:
-    """Copy one float64 payload out of a slab slot."""
-    count = int(np.prod(shape)) if len(shape) else 1
-    view = np.frombuffer(
-        shm.buf, dtype=np.float64, count=count, offset=slot * slot_bytes
-    )
-    return view.reshape(tuple(shape)).copy()
-
-
-# ----------------------------------------------------------------------
 # Worker process.
 # ----------------------------------------------------------------------
-def _shard_search(
-    index: HNSWIndex, gids: np.ndarray, embedding: np.ndarray, k: int, spec: _ShardSpec
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Local top-k ``(squared L2, gids)`` of a rebuilt replica, searched as its worker does."""
-    shard = LocalShard(
-        index, gids, ef_search=spec.ef_search, brute_threshold=spec.brute_threshold
-    )
-    answer = shard.search(embedding, k)
-    return answer.sq, answer.gids
-
-
-def _shard_worker_main(
-    spec: _ShardSpec, shard_idx: int, slab_name: str, slot_bytes: int, request_q, response_q
-) -> None:
+def _shard_worker_main(spec: _ShardSpec, shard_idx: int, request_q, response_q) -> None:
     """Entry point of one shard worker process.
 
     Runs a one-shard :class:`~repro.serve.engine.SimilarityServer` over
@@ -287,7 +153,6 @@ def _shard_worker_main(
     policy = {k: v for k, v in vars(spec).items() if k not in ("encoder", "dim")}
     policy["seed"] += shard_idx
     server = SimilarityServer(spec.encoder, spec.dim, **policy)
-    shm = _attach_slab(slab_name)
     hooks: Dict[str, float] = {}
     try:
         while True:
@@ -298,7 +163,7 @@ def _shard_worker_main(
             if msg is None or msg.get("cmd") == "shutdown":
                 break
             try:
-                _handle_worker_msg(msg, server, shm, slot_bytes, hooks, response_q)
+                _handle_worker_msg(msg, server, hooks, response_q)
             except Exception as exc:
                 # Per-message fault isolation: the requester gets the
                 # error, the worker lives on for every other request.
@@ -314,16 +179,11 @@ def _shard_worker_main(
                 )
     finally:
         server.close()
-        shm.close()
 
 
-def _worker_payload(
-    msg: dict, shm: shared_memory.SharedMemory, slot_bytes: int
-) -> np.ndarray:
-    """The float64 payload of one request: slab slot or inline fallback."""
-    if "slot" in msg:
-        return _read_slot(shm, msg["slot"], slot_bytes, msg["shape"])
-    return np.asarray(msg["data"], dtype=np.float64)
+def _worker_payload(msg: dict) -> np.ndarray:
+    """The request's float64 payload, rebuilt from its bytes and shape."""
+    return np.frombuffer(msg["data"], dtype=np.float64).reshape(msg["shape"])
 
 
 def _remote_trace(msg: dict, name: str, received: float):
@@ -331,22 +191,22 @@ def _remote_trace(msg: dict, name: str, received: float):
 
     The context is None when the coordinator was not tracing; the subtree
     is then the inert null trace.  ``ipc-wait`` runs from the
-    coordinator's ``sent_at`` stamp (mapped into this process's clock via
-    ``clock_offset``) to the worker picking the message up — distinct
-    from the batcher queue-wait the handoff records on the encode path.
+    coordinator's ``sent_at`` stamp to the worker picking the message up
+    (``perf_counter`` is CLOCK_MONOTONIC, shared across processes on
+    Linux) — distinct from the batcher queue-wait the handoff records on
+    the encode path.
     """
     wire = msg.get("trace_ctx")
     ctx = TraceContext.from_wire(wire) if wire else None
     rtrace = begin_remote(ctx, name=name)
     if ctx is not None:
-        sent_local = msg.get("sent_at", received) - ctx.clock_offset
-        rtrace.record_span("ipc-wait", min(sent_local, received), received, parent_id=ROOT)
+        sent = msg.get("sent_at", received)
+        rtrace.record_span("ipc-wait", min(sent, received), received, parent_id=ROOT)
     return ctx, rtrace
 
 
 def _handle_worker_msg(
-    msg: dict, server: SimilarityServer, shm: shared_memory.SharedMemory,
-    slot_bytes: int, hooks: Dict[str, float], response_q,
+    msg: dict, server: SimilarityServer, hooks: Dict[str, float], response_q
 ) -> None:
     """Dispatch one coordinator command inside the worker process."""
     cmd = msg["cmd"]
@@ -354,9 +214,8 @@ def _handle_worker_msg(
     received = time.perf_counter()
     if cmd == "search":
         ctx, rtrace = _remote_trace(msg, "shard.search", received)
+        embedding = _worker_payload(msg)
         with rtrace.handoff().resume(wait_name=None):
-            with rtrace.span("slab-read"):
-                embedding = _worker_payload(msg, shm, slot_bytes)
             start = time.perf_counter()
             # HNSW's own annotate() calls land on this span while the
             # subtree is bound current (hnsw_candidates / ef attribution).
@@ -386,9 +245,7 @@ def _handle_worker_msg(
         # capture its handoff, so the flush thread's queue-wait and
         # batched-forward stamps land inside this request's subtree.
         with rtrace.handoff().resume(wait_name=None):
-            with rtrace.span("slab-read"):
-                traj = _worker_payload(msg, shm, slot_bytes)
-            future = server.batcher.submit(traj)
+            future = server.batcher.submit(_worker_payload(msg))
 
         def _deliver(done: Future, seq: int = seq, t0: float = received) -> None:
             """Post the batched-encode outcome back on the response queue.
@@ -428,7 +285,7 @@ def _handle_worker_msg(
             server._local.add(int(gid), embedding)
         response_q.put({"seq": seq, "embeddings": embeddings})
     elif cmd == "echo":
-        payload = _worker_payload(msg, shm, slot_bytes)
+        payload = _worker_payload(msg)
         response_q.put({"seq": seq, "digest": trajectory_key(payload), "data": payload})
     elif cmd == "stats":
         response_q.put({
@@ -449,31 +306,28 @@ def _handle_worker_msg(
 # Coordinator side.
 # ----------------------------------------------------------------------
 class ProcessShard(Shard):
-    """One worker process as a shard: queues, slab, pending map, retained block.
+    """One worker process as a shard: queues, pending map, retained block.
 
     A router thread delivers responses (by ``seq``) to the futures
-    :meth:`request` handed out, releasing the payload's slab slot then —
-    the only point the worker is provably done reading it.  Death is seen
-    there (queue idle, process gone) or by a gather timeout;
-    ``mark_dead`` fails every pending future with :class:`ShardDeadError`
-    and counts ``serve.shard.dead`` exactly once.  A search the worker
-    cannot answer is covered by :meth:`fallback_topk` over the retained
-    embeddings.
+    :meth:`request` handed out.  Death is seen there (queue idle,
+    process gone) or by a gather timeout; ``mark_dead`` fails every
+    pending future with :class:`ShardDeadError` and counts
+    ``serve.shard.dead`` exactly once.  A search the worker cannot answer
+    is covered by :meth:`fallback_topk` over the retained embeddings.
     """
 
     source = "sharded"
 
-    def __init__(self, idx: int, ctx, spec: _ShardSpec, slots: int, slot_bytes: int):
+    def __init__(self, idx: int, ctx, spec: _ShardSpec):
         self.idx = idx
         self.dim = spec.dim
-        self.slab = _ShmSlab(slots, slot_bytes)
         self.request_q = ctx.Queue()
         self.response_q = ctx.Queue()
         self.dead = False
         self._stopping = False
         self._seq = itertools.count()
-        #: seq -> (future, slot or None); guarded by _plock.
-        self._pending: Dict[int, Tuple[Future, Optional[int]]] = {}
+        #: seq -> future of every request in flight; guarded by _plock.
+        self._pending: Dict[int, Future] = {}
         self._plock = new_lock(f"serve.shard{idx}.pending")
         #: Retained copy of this slice: gids and embedding blocks in insert
         #: order, stacked once per change by :meth:`block`.
@@ -483,7 +337,7 @@ class ProcessShard(Shard):
         self._block_lock = new_lock(f"serve.shard{idx}.block")
         self.process = ctx.Process(
             target=_shard_worker_main,
-            args=(spec, idx, self.slab.name, slot_bytes, self.request_q, self.response_q),
+            args=(spec, idx, self.request_q, self.response_q),
             daemon=True,
             name=f"repro-shard-{idx}",
         )
@@ -508,40 +362,25 @@ class ProcessShard(Shard):
 
         The only way to reach the worker.  ``trace_ctx`` is required (None
         when untraced), so no search or encode can sever its trace.  A
-        float64 ``payload`` rides the shared slab, or is pickled inline
-        when the slab is full or the payload outgrows a slot (counted,
-        never fatal: only speed depends on shared memory).
+        ``payload`` travels as its float64 bytes plus its shape: the copy
+        is taken here, so the worker reads exactly what was sent.
         """
         wire = trace_ctx.to_wire() if trace_ctx is not None else None
         msg = dict(fields, cmd=cmd, trace_ctx=wire)
-        slot = None
         if payload is not None:
-            slot = self.slab.acquire()
-            if slot is not None:
-                try:
-                    msg["shape"] = self.slab.write(slot, payload)
-                    msg["slot"] = slot
-                except ValueError:
-                    self.slab.release(slot)
-                    slot = None
-            if slot is None:
-                get_registry().counter("serve.shard.slab_overflow").inc()
-                msg["data"] = np.asarray(payload, dtype=np.float64)
+            array = np.ascontiguousarray(payload, dtype=np.float64)
+            msg.update(data=array.tobytes(), shape=array.shape)
         seq = next(self._seq)
         future: Future = Future()
         with self._plock:
-            dead = self.dead
-            if not dead:
-                self._pending[seq] = (future, slot)
-        if dead:
-            if slot is not None:
-                self.slab.release(slot)
-            raise ShardDeadError(f"shard {self.idx} is dead")
+            if self.dead:
+                raise ShardDeadError(f"shard {self.idx} is dead")
+            self._pending[seq] = future
         msg.update(seq=seq, sent_at=time.perf_counter())
         try:
             self.request_q.put(msg)
         except Exception:
-            self._resolve({"seq": seq})  # forget the request, free its slot
+            self._resolve({"seq": seq})  # forget the request
             raise
         get_registry().counter("serve.shard.requests").inc()
         return future
@@ -587,8 +426,8 @@ class ProcessShard(Shard):
         """Wait for the worker's answer until ``deadline``; a miss names its cause.
 
         The wait is recorded post hoc as the ``shard-<i>`` span (coordinator
-        clock) with the worker's subtree — ipc-wait, slab-read, search —
-        grafted beneath it.
+        clock) with the worker's subtree — ipc-wait, search — grafted
+        beneath it.
         """
         future, sent, ctx, reason = call
         if future is None:
@@ -634,10 +473,7 @@ class ProcessShard(Shard):
     def _graft(self, trace, span_id: int, resp: dict, ctx: Optional[TraceContext]) -> None:
         """Stitch a worker-returned span subtree under one local span."""
         if trace is not None and ctx is not None and "trace" in resp:
-            graft_subtree(
-                trace, span_id, resp["trace"],
-                clock_offset=ctx.clock_offset, shard=self.idx,
-            )
+            graft_subtree(trace, span_id, resp["trace"], shard=self.idx)
 
     # ------------------------------------------------------------------
     def retain(self, gids: Sequence[int], embeddings: np.ndarray) -> None:
@@ -731,12 +567,9 @@ class ProcessShard(Shard):
             self._resolve(resp)
 
     def _resolve(self, resp: dict) -> None:
-        """Complete the future for one response and recycle its slot."""
-        seq = resp.get("seq", -1)
+        """Complete the future for one response."""
         with self._plock:
-            future, slot = self._pending.pop(seq, (None, None))
-        if slot is not None:
-            self.slab.release(slot)
+            future = self._pending.pop(resp.get("seq", -1), None)
         if future is not None and not future.done():
             future.set_result(resp)
 
@@ -750,18 +583,15 @@ class ProcessShard(Shard):
             self._resolve(resp)
 
     def mark_dead(self, reason: str) -> None:
-        """Declare the worker dead once: fail pending, free slots, count it."""
+        """Declare the worker dead once: fail pending, count it."""
         with self._plock:
             if self.dead:
                 return
             self.dead = True
             pending = list(self._pending.values())
             self._pending.clear()
-        for _, slot in pending:
-            if slot is not None:
-                self.slab.release(slot)
         error = ShardDeadError(f"shard {self.idx} died ({reason})")
-        for future, _ in pending:
+        for future in pending:
             if not future.done():
                 future.set_exception(error)
         get_registry().counter("serve.shard.dead").inc()
@@ -784,7 +614,7 @@ class ProcessShard(Shard):
         with self._plock:
             pending = list(self._pending.values())
             self._pending.clear()
-        for future, _ in pending:
+        for future in pending:
             if not future.done():
                 future.set_exception(ShardDeadError(f"shard {self.idx} closed"))
         for q in (self.request_q, self.response_q):
@@ -796,7 +626,6 @@ class ProcessShard(Shard):
                     "shard-queue-close", shard=self.idx, error=type(exc).__name__
                 )
         self._router.join(timeout=timeout)
-        self.slab.close()
 
 
 class ShardedSimilarityServer(SimilarityServer):
@@ -806,8 +635,8 @@ class ShardedSimilarityServer(SimilarityServer):
     (``add`` / ``add_batch`` / ``topk`` / ``encode`` / ``stats`` /
     ``memory_stats`` / ``close``) and the same never-raises ``topk``; see
     the module docstring for the architecture.  Adds what exists only for
-    worker shards: the build path, state dumps, fault hooks, slab echo
-    and fleet telemetry.
+    worker shards: the build path, shard replicas, fault hooks, payload
+    echo and fleet telemetry.
 
     Parameters
     ----------
@@ -823,9 +652,6 @@ class ShardedSimilarityServer(SimilarityServer):
     shard_deadline_s:
         Gather budget per request: shards that have not answered by then
         are covered by the coordinator's exact fallback scan.
-    slots / slot_bytes:
-        Shared-memory slab geometry per worker (payloads larger than a
-        slot fall back to inline pickling).
     stats_ttl_s:
         Minimum age before a Prometheus scrape re-pulls worker registry
         snapshots (see :meth:`refresh_shard_telemetry`).
@@ -849,8 +675,6 @@ class ShardedSimilarityServer(SimilarityServer):
         brute_threshold: int = BRUTE_THRESHOLD,
         fallback_metric: Union[str, MetricSpec] = "dtw",
         degraded_scan_limit: int = 256,
-        slots: int = 64,
-        slot_bytes: int = 32768,
         build_timeout_s: float = 600.0,
         stats_ttl_s: float = 1.0,
         seed: int = 0,
@@ -862,7 +686,6 @@ class ShardedSimilarityServer(SimilarityServer):
         self.n_shards = n_shards
         self.strategy = strategy
         self.build_timeout_s = build_timeout_s
-        self._slab_geometry = (slots, slot_bytes)
         super().__init__(
             encoder, dim, cache_capacity=cache_capacity,
             max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
@@ -888,11 +711,7 @@ class ShardedSimilarityServer(SimilarityServer):
         # threads, locks or sanitizer state — a forked child of a
         # multi-threaded parent is undefined behaviour waiting to happen.
         ctx = mp.get_context("spawn")
-        slots, slot_bytes = self._slab_geometry
-        return [
-            ProcessShard(i, ctx, spec, slots, slot_bytes)
-            for i in range(self.n_shards)
-        ]
+        return [ProcessShard(i, ctx, spec) for i in range(self.n_shards)]
 
     # ------------------------------------------------------------------
     def add(self, traj) -> int:
@@ -980,12 +799,20 @@ class ShardedSimilarityServer(SimilarityServer):
         self.shard_stats(timeout_s=timeout_s)
         return True
 
-    def dump_shard(self, shard: int, timeout_s: float = 60.0) -> dict:
-        """One shard's index state and gid map (for in-process rebuilds)."""
+    def dump_shard(self, shard: int, timeout_s: float = 60.0) -> LocalShard:
+        """An in-process replica of one shard, searched as its worker searches.
+
+        Rebuilt from the worker's dumped graph and gid map with this
+        server's ``ef_search`` and ``brute_threshold``, so the replica
+        answers every query exactly as the worker would.
+        """
         resp = self._handles[shard].request("dump", trace_ctx=None).result(timeout=timeout_s)
         if "error" in resp:
             raise RuntimeError(f"shard {shard} dump failed: {resp['error']}")
-        return {"state": resp["state"], "gids": resp["gids"]}
+        return LocalShard(
+            HNSWIndex.from_state(resp["state"]), resp["gids"],
+            ef_search=self._spec.ef_search, brute_threshold=self._spec.brute_threshold,
+        )
 
     def debug_shard(self, shard: int, timeout_s: float = 5.0, **hooks) -> dict:
         """Install fault-injection hooks (e.g. ``search_delay_s``) in a worker."""
@@ -993,13 +820,13 @@ class ShardedSimilarityServer(SimilarityServer):
         return future.result(timeout=timeout_s).get("hooks", {})
 
     def echo_shard(self, shard: int, array: np.ndarray, timeout_s: float = 5.0) -> dict:
-        """Round-trip an array through a worker's slab (lifecycle tests)."""
+        """Round-trip an array through a worker (payload-encoding tests)."""
         return self._handles[shard].request("echo", array, trace_ctx=None).result(
             timeout=timeout_s
         )
 
     def close(self) -> None:
-        """Stop every worker, release every segment; idempotent, no raise."""
+        """Stop every worker; idempotent, no raise."""
         with self._close_lock:
             if self._closed:
                 return

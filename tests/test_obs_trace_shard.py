@@ -7,8 +7,7 @@ coordinator stitches the exported subtrees back under its own
 wait, worker compute and the straggler gap across process boundaries.
 
 In-process tests pin down the wire format, graft semantics (id
-remapping, clock-offset shifting, truncation, non-finite-attr
-sanitisation, never-raises on malformed payloads), the scrape-hook and
+remapping, truncation, non-finite-attr sanitisation, never-raises on malformed payloads), the scrape-hook and
 shard-label exposition machinery, the fleet SLO kinds and lint rule
 R008's context-token check and the required ``trace_ctx`` keyword.
 The ``@pytest.mark.shard`` tests drive real spawned worker
@@ -79,7 +78,7 @@ def _trajs(n, seed=0):
 # ----------------------------------------------------------------------
 class TestTraceContextWire:
     def test_to_wire_round_trips_exactly(self):
-        ctx = TraceContext("t000007", parent_span_id=3, clock_offset=0.25)
+        ctx = TraceContext("t000007", parent_span_id=3)
         wire = ctx.to_wire()
         assert json.loads(json.dumps(wire)) == wire  # plain JSON dict
         assert TraceContext.from_wire(wire) == ctx
@@ -88,18 +87,16 @@ class TestTraceContextWire:
         ctx = TraceContext.from_wire({})
         assert ctx.trace_id == "t?"
         assert ctx.parent_span_id == ROOT
-        assert ctx.clock_offset == 0.0
 
     def test_capture_context_requires_an_active_trace(self):
         tracer = Tracer(clock=FakeClock())
         assert capture_context(tracer) is None
         with tracer.trace("serve.topk") as tr:
             with tr.span("dispatch") as dispatch:
-                ctx = capture_context(tracer, clock_offset=0.5)
+                ctx = capture_context(tracer)
                 assert ctx is not None
                 assert ctx.trace_id == tr.trace_id
                 assert ctx.parent_span_id == dispatch.span_id
-                assert ctx.clock_offset == 0.5
         assert capture_context(tracer) is None
 
     def test_capture_context_is_none_while_tracing_disabled(self):
@@ -116,16 +113,15 @@ class TestTraceContextWire:
 # begin_remote / export_subtree / graft_subtree
 # ----------------------------------------------------------------------
 def _worker_subtree(clk, ctx, tracer):
-    """A scripted worker-side subtree: ipc-wait, slab-read, search.
+    """A scripted worker-side subtree: ipc-wait, search.
 
-    All timestamps are on the *worker's* clock axis; the coordinator's
-    graft shifts them by ``clock_offset``.
+    The worker's clock shares the coordinator's axis (CLOCK_MONOTONIC
+    across processes), so the graft keeps every timestamp as recorded.
     """
     rtrace = begin_remote(ctx, name="shard.search", tracer=tracer)
     rtrace.record_span("ipc-wait", clk.now - 0.001, clk.now, parent_id=ROOT)
     with rtrace.handoff().resume(wait_name=None):
-        with rtrace.span("slab-read"):
-            clk.advance(0.001)
+        clk.advance(0.001)
         with rtrace.span("search") as search:
             clk.advance(0.004)
             search.set(n=12)
@@ -143,26 +139,22 @@ class TestGraftSubtree:
     def test_deterministic_stitch_with_fake_clocks(self):
         coord_clk = FakeClock()
         coordinator = Tracer(clock=coord_clk)
-        # Worker clock deliberately 10s behind (the worker "receives" at
-        # coordinator t=0.002): the graft must shift its timestamps back
-        # onto the coordinator clock via clock_offset.
-        worker_clk = FakeClock(start=-9.998)
+        # The worker "receives" at coordinator t=0.002, on the same axis.
+        worker_clk = FakeClock(start=0.002)
         worker = Tracer(clock=worker_clk)
         with coordinator.trace("serve.topk", k=5) as tr:
             with tr.span("dispatch"):
                 coord_clk.advance(0.001)
-            ctx = tr.context(clock_offset=10.0)
+            ctx = tr.context()
             payload = _worker_subtree(worker_clk, ctx, worker)
             coord_clk.advance(0.007)
             shard_span = tr.record_span("shard-0", 0.001, 0.008, result="ok")
-            kept = graft_subtree(
-                tr, shard_span, payload, clock_offset=10.0, shard=0
-            )
+            kept = graft_subtree(tr, shard_span, payload, shard=0)
         trace = coordinator.recent()[-1]
-        assert kept == 3
+        assert kept == 2
         assert trace.dropped_events == 0
         grafted = [e for e in trace.events if e.get("shard") == 0]
-        assert [e["name"] for e in grafted] == ["ipc-wait", "slab-read", "search"]
+        assert [e["name"] for e in grafted] == ["ipc-wait", "search"]
         # Remapped ids are ascending and unique, so children stay above
         # their parents in id order.
         ids = [e["id"] for e in grafted]
@@ -171,11 +163,10 @@ class TestGraftSubtree:
         # (the worker's handoff anchored its spans at the remote ROOT).
         by_name = {e["name"]: e for e in grafted}
         assert all(e["parent"] == shard_span for e in grafted)
-        # clock_offset landed every remote timestamp on the origin axis.
+        # Remote timestamps land on the origin axis unchanged.
         assert by_name["ipc-wait"]["start"] == pytest.approx(0.001)
         assert by_name["ipc-wait"]["end"] == pytest.approx(0.002)
-        assert by_name["slab-read"]["start"] == pytest.approx(0.002)
-        assert by_name["slab-read"]["end"] == pytest.approx(0.003)
+        assert by_name["search"]["start"] == pytest.approx(0.003)
         assert by_name["search"]["end"] == pytest.approx(0.007)
         assert by_name["search"]["attrs"] == {"n": 12}
         rendered = format_trace(trace)
@@ -483,7 +474,7 @@ class TestTraceContextLintRule:
             """\
             def f(tracer, tr):
                 capture_context(tracer)
-                tr.context(clock_offset=0.5)
+                tr.context()
                 ctx = capture_context(tracer)
                 return ctx.to_wire()
             """,
@@ -586,7 +577,7 @@ def test_stitched_four_shard_trace_covers_worker_wall_time():
             subtree = _descendants(trace, span["id"])
             assert {e.get("shard") for e in subtree} == {shard}
             names = {e["name"] for e in subtree}
-            assert {"ipc-wait", "slab-read", "search"} <= names
+            assert {"ipc-wait", "search"} <= names
             covered = max(e["end"] for e in subtree) - min(
                 e["start"] for e in subtree
             )

@@ -7,8 +7,13 @@ boundary (tie rule: lowest global id wins, the order a stable argsort
 over one flat index produces).  The property tests exercise the merge in
 pure numpy over random assignments at shard counts 1, 2, 4 and 7; the
 ``@pytest.mark.shard`` tests drive real spawned worker processes through
-the same contract.
+the same contract, and pin down the transport: payloads cross the
+process boundary as raw float64 bytes inside the request message
+(bit-exact, no shared memory), and no request stays pending after its
+answer arrived.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -186,9 +191,6 @@ def test_sharded_topk_is_exact_over_processes(n_shards, strategy):
 @pytest.mark.shard
 def test_hnsw_path_matches_in_process_replica():
     """Worker HNSW answers equal a replica rebuilt from its state dump."""
-    from repro.index.hnsw import HNSWIndex
-    from repro.serve.shard import _shard_search
-
     trajs = _trajs(48, seed=5)
     enc = FeatureEncoder(dim=DIM, seed=0)
     srv = ShardedSimilarityServer(
@@ -200,22 +202,14 @@ def test_hnsw_path_matches_in_process_replica():
     )
     try:
         srv.add_batch(trajs)
-        replicas = []
-        for i in range(2):
-            dump = srv.dump_shard(i)
-            replicas.append(
-                (HNSWIndex.from_state(dump["state"]), np.asarray(dump["gids"]))
-            )
+        replicas = [srv.dump_shard(i) for i in range(2)]
         q = np.linspace(0, 1, 16).reshape(8, 2)
         result = srv.topk(q, k=4)
         assert not result.degraded
         qe = srv.cache.get(trajectory_key(q))
         assert qe is not None
-        parts = [
-            _shard_search(index, gids, qe, 4, srv._spec)
-            for index, gids in replicas
-        ]
-        exp_sq, exp_ids = merge_topk(parts, 4)
+        answers = [replica.search(qe, 4) for replica in replicas]
+        exp_sq, exp_ids = merge_topk([(a.sq, a.gids) for a in answers], 4)
         assert np.array_equal(result.ids, exp_ids)
         assert np.array_equal(result.distances, np.sqrt(exp_sq))
     finally:
@@ -239,5 +233,78 @@ def test_add_after_serving_is_visible():
         hit = srv.topk(np.asarray(probe) + 0.0, k=1)
         assert hit.ids[0] == 12  # the trajectory itself is now nearest
         assert hit.distances[0] == 0.0
+    finally:
+        srv.close()
+
+
+# ---------------------------------------------------------------------------
+# Transport: payload bytes, shared memory, pending requests
+# ---------------------------------------------------------------------------
+
+
+def _shm_entries():
+    """``/dev/shm`` entries besides multiprocessing's own ``sem.*`` semaphores."""
+    return {name for name in os.listdir("/dev/shm") if not name.startswith("sem.")}
+
+
+@pytest.mark.shard
+def test_payload_round_trip_through_worker_is_bit_exact():
+    enc = FeatureEncoder(dim=4, seed=0)
+    srv = ShardedSimilarityServer(enc, dim=4, n_shards=1, shard_deadline_s=30.0)
+    try:
+        rng = np.random.default_rng(3)
+        for shape in [(1, 2), (7, 2), (128, 2), (16,)]:
+            payload = rng.normal(size=shape).cumsum(axis=0)
+            # Infinities, negative zero, the smallest subnormal and a NaN
+            # must all survive: the content-hash cache keys on the exact
+            # byte image.
+            flat = payload.reshape(-1)
+            specials = [np.inf, -np.inf, -0.0, 5e-324, np.nan]
+            flat[: len(specials)] = specials[: flat.size]
+            resp = srv.echo_shard(0, payload, timeout_s=30.0)
+            echoed = np.asarray(resp["data"])
+            assert echoed.dtype == np.float64
+            assert echoed.shape == shape
+            assert echoed.tobytes() == payload.tobytes()
+            # The worker hashed the array IT decoded: digest equality
+            # proves the request carried the exact image, end to end.
+            assert resp["digest"] == trajectory_key(payload)
+    finally:
+        srv.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.shard
+@pytest.mark.parametrize("kill_workers", [False, True])
+def test_serving_creates_no_shared_memory(kill_workers):
+    """Neither a live server nor its close leaves anything in /dev/shm."""
+    before = _shm_entries()
+    enc = FeatureEncoder(dim=4, seed=0)
+    srv = ShardedSimilarityServer(enc, dim=4, n_shards=2, shard_deadline_s=30.0)
+    try:
+        srv.add_batch(_trajs(10, seed=1))
+        assert not srv.topk(_trajs(1, seed=8)[0], k=2).degraded
+        assert _shm_entries() - before == set()
+        if kill_workers:
+            for handle in srv._handles:
+                handle.process.kill()
+                handle.process.join(timeout=10)
+            # The coordinator keeps answering from its retained blocks.
+            assert srv.topk(_trajs(1, seed=9)[0], k=2).degraded
+    finally:
+        srv.close()
+    assert _shm_entries() - before == set()
+
+
+@pytest.mark.shard
+def test_no_request_stays_pending_after_a_serving_burst():
+    enc = FeatureEncoder(dim=4, seed=0)
+    srv = ShardedSimilarityServer(enc, dim=4, n_shards=2, shard_deadline_s=30.0)
+    try:
+        srv.add_batch(_trajs(12, seed=2))
+        for q in _trajs(10, seed=21):
+            assert not srv.topk(q, k=3).degraded
+        for handle in srv._handles:
+            assert not handle._pending
     finally:
         srv.close()

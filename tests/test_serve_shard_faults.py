@@ -16,7 +16,7 @@ engine's, with worker processes as the new blast radius:
 
 Faults are injected by killing real processes and via the workers'
 ``debug`` hook channel (``search_delay_s``), so every scenario exercises
-the production queues, slab and dispatcher — not mocks.
+the production queues and dispatcher — not mocks.
 """
 
 import threading
